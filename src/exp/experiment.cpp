@@ -1,46 +1,111 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
+#include <mutex>
 
 #include "common/error.hpp"
 #include "exp/parallel.hpp"
 
 namespace rats {
 
+namespace {
+
+/// Step one of a run matrix: one slot per (cluster, entry, allocation
+/// kind), filled by the first run that reads it.  A failed allocation
+/// is stored and rethrown to every run that reads its slot, so each
+/// slot allocates exactly once and no exception crosses call_once
+/// (which hangs the waiting threads on libstdc++ targets whose
+/// pthread_once cannot unwind, GCC bug 66146).
+class StepOneTable {
+ public:
+  explicit StepOneTable(std::size_t pairs) : slots_(pairs * kKinds) {}
+
+  const Allocation& get(std::size_t pair, const TaskGraph& graph,
+                        const Cluster& cluster, AllocationKind kind) {
+    Slot& slot = slots_[pair * kKinds + static_cast<std::size_t>(kind)];
+    std::call_once(slot.once, [&] {
+      try {
+        slot.allocation = allocate(graph, cluster, AllocationOptions{kind});
+      } catch (...) {
+        slot.failure = std::current_exception();
+      }
+    });
+    if (slot.failure) std::rethrow_exception(slot.failure);
+    return slot.allocation;
+  }
+
+ private:
+  static constexpr std::size_t kKinds = 3;  ///< AllocationKind values
+  struct Slot {
+    std::once_flag once;
+    Allocation allocation;
+    std::exception_ptr failure;
+  };
+  std::vector<Slot> slots_;
+};
+
+}  // namespace
+
 ExperimentData run_experiment(const std::vector<CorpusEntry>& corpus,
                               const Cluster& cluster,
                               const std::vector<AlgoSpec>& algos,
                               unsigned threads, RunSession* session,
                               const SimulatorOptions* base_sim) {
-  RATS_REQUIRE(!corpus.empty() && !algos.empty(),
-               "experiment needs a corpus and algorithms");
-  ExperimentData data;
-  data.cluster_name = cluster.name();
-  for (const auto& a : algos) data.algo_names.push_back(a.name);
-  data.families.reserve(corpus.size());
-  data.entry_names.reserve(corpus.size());
-  for (const auto& entry : corpus) {
-    data.families.push_back(entry.family);
-    data.entry_names.push_back(entry.name);
-  }
-  data.outcome.assign(corpus.size(),
-                      std::vector<RunOutcome>(algos.size()));
+  const auto same_set = [&](std::size_t, std::size_t)
+      -> const std::vector<AlgoSpec>& { return algos; };
+  return std::move(run_experiments(corpus, {cluster}, same_set, threads,
+                                   session, base_sim)
+                       .front());
+}
 
-  const std::size_t jobs = corpus.size() * algos.size();
-  if (session) session->begin_matrix(jobs);
-  parallel_for(jobs, [&](std::size_t j) {
-    const std::size_t e = j / algos.size();
-    const std::size_t a = j % algos.size();
-    const RunMeta meta{corpus[e].name, algos[a].name, cluster.name()};
-    if (session && session->inject(j, meta, data.outcome[e][a])) return;
+std::vector<ExperimentData> run_experiments(
+    const std::vector<CorpusEntry>& corpus,
+    const std::vector<Cluster>& clusters, const AlgoSetOf& algos_for,
+    unsigned threads, RunSession* session, const SimulatorOptions* base_sim) {
+  RATS_REQUIRE(!corpus.empty() && !clusters.empty(),
+               "experiment needs a corpus and a cluster");
+  const std::size_t num_algos = algos_for(0, 0).size();
+  RATS_REQUIRE(num_algos > 0, "experiment needs algorithms");
+  std::vector<ExperimentData> results(clusters.size());
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    ExperimentData& data = results[c];
+    data.cluster_name = clusters[c].name();
+    for (const auto& a : algos_for(c, 0)) data.algo_names.push_back(a.name);
+    data.families.reserve(corpus.size());
+    data.entry_names.reserve(corpus.size());
+    for (const auto& entry : corpus) {
+      data.families.push_back(entry.family);
+      data.entry_names.push_back(entry.name);
+    }
+    data.outcome.assign(corpus.size(), std::vector<RunOutcome>(num_algos));
+  }
+
+  StepOneTable step_one(clusters.size() * corpus.size());
+  const std::size_t per_cluster = corpus.size() * num_algos;
+  if (session) session->begin_matrix(clusters.size() * per_cluster);
+  parallel_for(clusters.size() * per_cluster, [&](std::size_t j) {
+    const std::size_t c = j / per_cluster;
+    const std::size_t e = (j % per_cluster) / num_algos;
+    const std::size_t a = j % num_algos;
+    const std::vector<AlgoSpec>& algos = algos_for(c, e);
+    RATS_REQUIRE(algos.size() == num_algos,
+                 "algorithm list changed size across entries");
+    const AlgoSpec& spec = algos[a];
+    RunOutcome& out = results[c].outcome[e][a];
+    const RunMeta meta{corpus[e].name, spec.name, clusters[c].name()};
+    if (session && session->inject(j, meta, out)) return;
     SimulatorOptions sim = base_sim ? *base_sim : SimulatorOptions{};
     if (session) sim.trace = session->begin_run(j, meta);
-    data.outcome[e][a] =
-        run_scenario(corpus[e].graph, cluster, algos[a].options, sim);
-    if (session) session->end_run(j, data.outcome[e][a]);
+    const Allocation& allocation =
+        step_one.get(c * corpus.size() + e, corpus[e].graph, clusters[c],
+                     allocation_kind(spec.options.kind));
+    out = run_scenario(corpus[e].graph, clusters[c], allocation,
+                       spec.options, sim);
+    if (session) session->end_run(j, out);
   }, threads);
-  return data;
+  return results;
 }
 
 std::vector<double> relative_series(const ExperimentData& data,

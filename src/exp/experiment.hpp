@@ -4,6 +4,7 @@
 // degradation from best (Table VI).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,32 @@ ExperimentData run_experiment(const std::vector<CorpusEntry>& corpus,
                               unsigned threads = 0,
                               RunSession* session = nullptr,
                               const SimulatorOptions* base_sim = nullptr);
+
+/// The algorithm set of entry `entry` on cluster `cluster`.
+using AlgoSetOf = std::function<const std::vector<AlgoSpec>&(
+    std::size_t cluster, std::size_t entry)>;
+
+/// The run matrix behind run_experiment and the tuned presets: every
+/// (cluster, entry, algorithm) run is one job of a single worker-pool
+/// batch (run index = (cluster * entries + entry) * algos + algo), so
+/// multi-cluster tables keep all workers busy across cluster
+/// boundaries.  Every set `algos_for` returns must list the same
+/// algorithms in the same order; results are in `clusters` order, each
+/// in corpus order.
+///
+/// The two steps of a run execute at different grains.  Step one (the
+/// allocation) runs once per (cluster, entry, allocation kind), in the
+/// first run that needs it, and every later run of that entry whose
+/// scheduler reads the same kind reuses it (HCPA, both RATS mappings
+/// and every RATS sweep point share HCPA's).  Step two (the mapping)
+/// and the simulation run once per run.  A run the session injects
+/// allocates nothing, so a serve shard only allocates the entries it
+/// simulates.
+std::vector<ExperimentData> run_experiments(
+    const std::vector<CorpusEntry>& corpus,
+    const std::vector<Cluster>& clusters, const AlgoSetOf& algos_for,
+    unsigned threads = 0, RunSession* session = nullptr,
+    const SimulatorOptions* base_sim = nullptr);
 
 /// Per-entry ratio metric(algo) / metric(reference algo), e.g. the
 /// "makespan relative to HCPA" of Figures 2 and 6.  `metric` selects

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/table.hpp"
-#include "exp/parallel.hpp"
 
 namespace rats::presets {
 
@@ -141,52 +140,24 @@ std::vector<ExperimentData> run_tuned_experiments(
     RunSession* session, const SimulatorOptions* base_sim) {
   constexpr DagFamily kFamilies[] = {DagFamily::Layered, DagFamily::Irregular,
                                      DagFamily::FFT, DagFamily::Strassen};
-  const std::size_t num_algos = 3;
-
   // Per (cluster, family) tuned algorithm specs, resolved up front so
   // jobs only read shared state.
   std::vector<std::vector<std::vector<AlgoSpec>>> specs(clusters.size());
-  std::vector<ExperimentData> results(clusters.size());
-  for (std::size_t c = 0; c < clusters.size(); ++c) {
+  for (std::size_t c = 0; c < clusters.size(); ++c)
     for (const DagFamily family : kFamilies)
       specs[c].push_back(tuned_algos(family, clusters[c].name()));
-    results[c].cluster_name = clusters[c].name();
-    results[c].algo_names = {"HCPA", "delta", "time-cost"};
-    results[c].families.reserve(corpus.size());
-    results[c].entry_names.reserve(corpus.size());
-    for (const auto& entry : corpus) {
-      results[c].families.push_back(entry.family);
-      results[c].entry_names.push_back(entry.name);
-    }
-    results[c].outcome.assign(corpus.size(),
-                              std::vector<RunOutcome>(num_algos));
-  }
   const auto family_index = [&](DagFamily family) {
     for (std::size_t k = 0; k < std::size(kFamilies); ++k)
       if (kFamilies[k] == family) return k;
     RATS_REQUIRE(false, "unknown DAG family");
     return std::size_t{0};
   };
-
-  // One flat (cluster, entry, algo) batch: every scenario is an
-  // independent job, each writing only its own outcome slot.
-  const std::size_t per_cluster = corpus.size() * num_algos;
-  if (session) session->begin_matrix(clusters.size() * per_cluster);
-  parallel_for(clusters.size() * per_cluster, [&](std::size_t j) {
-    const std::size_t c = j / per_cluster;
-    const std::size_t e = (j % per_cluster) / num_algos;
-    const std::size_t a = j % num_algos;
-    const AlgoSpec& spec =
-        specs[c][family_index(corpus[e].family)][a];
-    const RunMeta meta{corpus[e].name, spec.name, clusters[c].name()};
-    if (session && session->inject(j, meta, results[c].outcome[e][a])) return;
-    SimulatorOptions sim = base_sim ? *base_sim : SimulatorOptions{};
-    if (session) sim.trace = session->begin_run(j, meta);
-    results[c].outcome[e][a] =
-        run_scenario(corpus[e].graph, clusters[c], spec.options, sim);
-    if (session) session->end_run(j, results[c].outcome[e][a]);
-  }, threads);
-  return results;
+  return run_experiments(
+      corpus, clusters,
+      [&](std::size_t c, std::size_t e) -> const std::vector<AlgoSpec>& {
+        return specs[c][family_index(corpus[e].family)];
+      },
+      threads, session, base_sim);
 }
 
 void heading(const std::string& title) {

@@ -83,13 +83,12 @@ ExperimentData run_tuned_experiment(const std::vector<CorpusEntry>& corpus,
                                     RunSession* session = nullptr,
                                     const SimulatorOptions* base_sim = nullptr);
 
-/// Multi-cluster form of `run_tuned_experiment`: every (cluster, corpus
-/// entry, algorithm) scenario becomes one job in a single batch through
-/// the persistent worker pool, so multi-cluster tables (V, VI) keep all
-/// `--threads` workers busy across cluster boundaries instead of
-/// draining the pool once per cluster and family.  Results are in
-/// `clusters` order, each in corpus order.  `session` observes every
-/// job (run index = (cluster * entries + entry) * 3 + algo).
+/// Multi-cluster form of `run_tuned_experiment`: one run_experiments
+/// matrix (exp/experiment.hpp), so multi-cluster tables (V, VI) keep
+/// all `--threads` workers busy across cluster boundaries and allocate
+/// once per (cluster, entry).  Results are in `clusters` order, each in
+/// corpus order.  `session` observes every job (run index = (cluster *
+/// entries + entry) * 3 + algo).
 std::vector<ExperimentData> run_tuned_experiments(
     const std::vector<CorpusEntry>& corpus,
     const std::vector<Cluster>& clusters, unsigned threads = 0,

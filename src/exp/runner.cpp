@@ -22,9 +22,18 @@ void note_simulated_run() { runs_counter().add_always(1); }
 RunOutcome run_scenario(const TaskGraph& graph, const Cluster& cluster,
                         const SchedulerOptions& scheduler,
                         const SimulatorOptions& sim) {
+  const Allocation allocation = allocate(
+      graph, cluster, AllocationOptions{allocation_kind(scheduler.kind)});
+  return run_scenario(graph, cluster, allocation, scheduler, sim);
+}
+
+RunOutcome run_scenario(const TaskGraph& graph, const Cluster& cluster,
+                        const Allocation& allocation,
+                        const SchedulerOptions& scheduler,
+                        const SimulatorOptions& sim) {
   Schedule schedule = [&] {
     obs::PhaseTimer span("schedule");
-    return build_schedule(graph, cluster, scheduler);
+    return build_schedule(graph, cluster, allocation, scheduler);
   }();
   const SimulationResult result = [&] {
     obs::PhaseTimer span("simulate");

@@ -25,6 +25,13 @@ RunOutcome run_scenario(const TaskGraph& graph, const Cluster& cluster,
                         const SchedulerOptions& scheduler,
                         const SimulatorOptions& sim = {});
 
+/// Same run on a given step-one `allocation` (see the four-argument
+/// build_schedule): maps, simulates and counts the run.
+RunOutcome run_scenario(const TaskGraph& graph, const Cluster& cluster,
+                        const Allocation& allocation,
+                        const SchedulerOptions& scheduler,
+                        const SimulatorOptions& sim = {});
+
 /// Process-wide count of schedule+simulate runs executed so far.  The
 /// one-pass CI gate snapshots it around `rats run --trace` to prove the
 /// traced run matrix was simulated exactly once.

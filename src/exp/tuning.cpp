@@ -3,43 +3,12 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "exp/parallel.hpp"
 
 namespace rats {
 
 std::vector<double> tuning_mindeltas() { return {0.0, -0.25, -0.5, -0.75}; }
 std::vector<double> tuning_maxdeltas() { return {0.0, 0.25, 0.5, 0.75, 1.0}; }
 std::vector<double> tuning_minrhos() { return {0.2, 0.4, 0.5, 0.6, 0.8, 1.0}; }
-
-std::vector<double> reference_makespans(const std::vector<CorpusEntry>& corpus,
-                                        const Cluster& cluster,
-                                        unsigned threads) {
-  std::vector<double> ref(corpus.size());
-  SchedulerOptions hcpa;
-  hcpa.kind = SchedulerKind::Hcpa;
-  parallel_for(corpus.size(), [&](std::size_t e) {
-    ref[e] = run_scenario(corpus[e].graph, cluster, hcpa).makespan;
-  }, threads);
-  return ref;
-}
-
-double average_relative_makespan(const std::vector<CorpusEntry>& corpus,
-                                 const Cluster& cluster,
-                                 const SchedulerOptions& options,
-                                 const std::vector<double>& reference,
-                                 unsigned threads) {
-  RATS_REQUIRE(reference.size() == corpus.size(),
-               "reference does not cover the corpus");
-  std::vector<double> ratio(corpus.size());
-  parallel_for(corpus.size(), [&](std::size_t e) {
-    const double makespan =
-        run_scenario(corpus[e].graph, cluster, options).makespan;
-    ratio[e] = makespan / reference[e];
-  }, threads);
-  double sum = 0;
-  for (double r : ratio) sum += r;
-  return sum / static_cast<double>(ratio.size());
-}
 
 std::vector<double> sweep_grid(const std::vector<CorpusEntry>& corpus,
                                const Cluster& cluster,
@@ -71,6 +40,81 @@ std::vector<double> sweep_grid(const std::vector<CorpusEntry>& corpus,
   return averages;
 }
 
+namespace {
+
+/// Fills `sweep`'s grids (an empty list selects the paper grid) and
+/// returns its points in [mindelta][maxdelta] order.
+std::vector<SchedulerOptions> delta_points(DeltaSweep& sweep,
+                                           const std::vector<double>& mindeltas,
+                                           const std::vector<double>& maxdeltas) {
+  sweep.mindeltas = mindeltas.empty() ? tuning_mindeltas() : mindeltas;
+  sweep.maxdeltas = maxdeltas.empty() ? tuning_maxdeltas() : maxdeltas;
+  std::vector<SchedulerOptions> points;
+  for (double mindelta : sweep.mindeltas) {
+    for (double maxdelta : sweep.maxdeltas) {
+      SchedulerOptions options;
+      options.kind = SchedulerKind::RatsDelta;
+      options.rats.mindelta = mindelta;
+      options.rats.maxdelta = maxdelta;
+      points.push_back(options);
+    }
+  }
+  return points;
+}
+
+/// Reads the surface and best cell from the points' averages at `avg`.
+void score_delta(DeltaSweep& sweep, const double* avg) {
+  sweep.best_value = std::numeric_limits<double>::infinity();
+  for (double mindelta : sweep.mindeltas) {
+    std::vector<double> row;
+    for (double maxdelta : sweep.maxdeltas) {
+      const double value = *avg++;
+      row.push_back(value);
+      if (value < sweep.best_value) {
+        sweep.best_value = value;
+        sweep.best_mindelta = mindelta;
+        sweep.best_maxdelta = maxdelta;
+      }
+    }
+    sweep.avg_relative.push_back(std::move(row));
+  }
+}
+
+/// Fills `sweep`'s grid (empty selects the paper grid) and returns its
+/// points, packing on then off for each minrho.
+std::vector<SchedulerOptions> rho_points(RhoSweep& sweep,
+                                         const std::vector<double>& minrhos) {
+  sweep.minrhos = minrhos.empty() ? tuning_minrhos() : minrhos;
+  std::vector<SchedulerOptions> points;
+  for (double minrho : sweep.minrhos) {
+    for (bool packing : {true, false}) {
+      SchedulerOptions options;
+      options.kind = SchedulerKind::RatsTimeCost;
+      options.rats.minrho = minrho;
+      options.rats.packing = packing;
+      points.push_back(options);
+    }
+  }
+  return points;
+}
+
+/// Reads both curves and the best minrho from the averages at `avg`.
+void score_rho(RhoSweep& sweep, const double* avg) {
+  sweep.best_value = std::numeric_limits<double>::infinity();
+  for (double minrho : sweep.minrhos) {
+    for (bool packing : {true, false}) {
+      const double value = *avg++;
+      (packing ? sweep.with_packing : sweep.without_packing).push_back(value);
+      if (packing && value < sweep.best_value) {
+        sweep.best_value = value;
+        sweep.best_minrho = minrho;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 DeltaSweep sweep_delta(const std::vector<CorpusEntry>& corpus,
                        const Cluster& cluster, unsigned threads) {
   return sweep_delta(corpus, cluster, {}, {}, threads);
@@ -83,37 +127,10 @@ DeltaSweep sweep_delta(const std::vector<CorpusEntry>& corpus,
                        unsigned threads, RunSession* session,
                        const SimulatorOptions* base_sim) {
   DeltaSweep sweep;
-  sweep.mindeltas = mindeltas.empty() ? tuning_mindeltas() : mindeltas;
-  sweep.maxdeltas = maxdeltas.empty() ? tuning_maxdeltas() : maxdeltas;
-
-  std::vector<SchedulerOptions> points;
-  for (double mindelta : sweep.mindeltas) {
-    for (double maxdelta : sweep.maxdeltas) {
-      SchedulerOptions options;
-      options.kind = SchedulerKind::RatsDelta;
-      options.rats.mindelta = mindelta;
-      options.rats.maxdelta = maxdelta;
-      points.push_back(options);
-    }
-  }
-  const std::vector<double> avg =
-      sweep_grid(corpus, cluster, points, threads, session, base_sim);
-
-  sweep.best_value = std::numeric_limits<double>::infinity();
-  std::size_t k = 0;
-  for (double mindelta : sweep.mindeltas) {
-    std::vector<double> row;
-    for (double maxdelta : sweep.maxdeltas) {
-      const double value = avg[k++];
-      row.push_back(value);
-      if (value < sweep.best_value) {
-        sweep.best_value = value;
-        sweep.best_mindelta = mindelta;
-        sweep.best_maxdelta = maxdelta;
-      }
-    }
-    sweep.avg_relative.push_back(std::move(row));
-  }
+  const auto points = delta_points(sweep, mindeltas, maxdeltas);
+  score_delta(sweep, sweep_grid(corpus, cluster, points, threads, session,
+                                base_sim)
+                         .data());
   return sweep;
 }
 
@@ -127,40 +144,24 @@ RhoSweep sweep_rho(const std::vector<CorpusEntry>& corpus,
                    const std::vector<double>& minrhos, unsigned threads,
                    RunSession* session, const SimulatorOptions* base_sim) {
   RhoSweep sweep;
-  sweep.minrhos = minrhos.empty() ? tuning_minrhos() : minrhos;
-
-  std::vector<SchedulerOptions> points;
-  for (double minrho : sweep.minrhos) {
-    for (bool packing : {true, false}) {
-      SchedulerOptions options;
-      options.kind = SchedulerKind::RatsTimeCost;
-      options.rats.minrho = minrho;
-      options.rats.packing = packing;
-      points.push_back(options);
-    }
-  }
-  const std::vector<double> avg =
-      sweep_grid(corpus, cluster, points, threads, session, base_sim);
-
-  sweep.best_value = std::numeric_limits<double>::infinity();
-  std::size_t k = 0;
-  for (double minrho : sweep.minrhos) {
-    for (bool packing : {true, false}) {
-      const double value = avg[k++];
-      (packing ? sweep.with_packing : sweep.without_packing).push_back(value);
-      if (packing && value < sweep.best_value) {
-        sweep.best_value = value;
-        sweep.best_minrho = minrho;
-      }
-    }
-  }
+  const auto points = rho_points(sweep, minrhos);
+  score_rho(sweep, sweep_grid(corpus, cluster, points, threads, session,
+                              base_sim)
+                       .data());
   return sweep;
 }
 
 TunedParams tune(const std::vector<CorpusEntry>& corpus,
                  const Cluster& cluster, unsigned threads) {
-  const DeltaSweep ds = sweep_delta(corpus, cluster, threads);
-  const RhoSweep rs = sweep_rho(corpus, cluster, threads);
+  DeltaSweep ds;
+  RhoSweep rs;
+  std::vector<SchedulerOptions> points = delta_points(ds, {}, {});
+  const std::size_t num_delta = points.size();
+  for (const SchedulerOptions& point : rho_points(rs, {}))
+    points.push_back(point);
+  const std::vector<double> avg = sweep_grid(corpus, cluster, points, threads);
+  score_delta(ds, avg.data());
+  score_rho(rs, avg.data() + num_delta);
   return TunedParams{ds.best_mindelta, ds.best_maxdelta, rs.best_minrho};
 }
 

@@ -16,19 +16,6 @@ std::vector<double> tuning_mindeltas();  ///< {0, -0.25, -0.5, -0.75}
 std::vector<double> tuning_maxdeltas();  ///< {0, 0.25, 0.5, 0.75, 1}
 std::vector<double> tuning_minrhos();    ///< {0.2, 0.4, 0.5, 0.6, 0.8, 1}
 
-/// HCPA reference makespans for a corpus on one cluster (computed in
-/// parallel, reused across sweep points).
-std::vector<double> reference_makespans(const std::vector<CorpusEntry>& corpus,
-                                        const Cluster& cluster,
-                                        unsigned threads = 0);
-
-/// Average makespan of `options` relative to per-entry `reference`.
-double average_relative_makespan(const std::vector<CorpusEntry>& corpus,
-                                 const Cluster& cluster,
-                                 const SchedulerOptions& options,
-                                 const std::vector<double>& reference,
-                                 unsigned threads = 0);
-
 /// Average relative makespan (vs a freshly computed HCPA reference) of
 /// every sweep point, batched through the experiment runner as one
 /// (points + reference) x corpus parallel job.  `session` observes
@@ -85,7 +72,8 @@ RhoSweep sweep_rho(const std::vector<CorpusEntry>& corpus,
                    RunSession* session = nullptr,
                    const SimulatorOptions* base_sim = nullptr);
 
-/// One Table IV cell: tuned (mindelta, maxdelta, minrho).
+/// One Table IV cell: tuned (mindelta, maxdelta, minrho).  Both paper
+/// grids are scored in one sweep_grid batch against one HCPA reference.
 struct TunedParams {
   double mindelta{};
   double maxdelta{};

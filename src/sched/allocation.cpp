@@ -4,6 +4,8 @@
 
 #include "common/error.hpp"
 #include "dag/graph_algorithms.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
 
 namespace rats {
 
@@ -32,6 +34,12 @@ double average_area(const TaskGraph& graph, const Cluster& cluster,
 
 Allocation allocate(const TaskGraph& graph, const Cluster& cluster,
                     const AllocationOptions& options) {
+  // Stable: a run matrix allocates once per step-one table slot, so the
+  // count does not depend on the thread count.
+  static obs::Counter& calls =
+      obs::counter("sched/allocations", obs::Stability::Stable);
+  calls.inc();
+  obs::PhaseTimer span("schedule/allocate");
   graph.validate();
   const AmdahlModel model(cluster.node_speed());
   const int num_procs = cluster.num_nodes();

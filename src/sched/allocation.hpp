@@ -41,7 +41,8 @@ struct AllocationOptions {
   int max_iterations = 1'000'000;
 };
 
-/// Runs the allocation step for `graph` on `cluster`.
+/// Runs the allocation step for `graph` on `cluster` (one
+/// `schedule/allocate` span, one `sched/allocations` count).
 Allocation allocate(const TaskGraph& graph, const Cluster& cluster,
                     const AllocationOptions& options = {});
 

@@ -1,4 +1,5 @@
-// Two-step scheduler facade: allocation + mapping in one call.
+// Two-step scheduler facade: allocation + mapping in one call, or the
+// mapping alone on an allocation computed once and shared.
 //
 // The five end-to-end schedulers of this repository:
 //   Cpa          — CPA allocation + baseline mapping
@@ -33,8 +34,20 @@ struct SchedulerOptions {
   bool secondary_sort = true;  ///< RATS ready-list secondary sort (ablation)
 };
 
-/// Runs the requested two-step scheduler end to end.
+/// The allocation procedure (step one) a scheduler runs: its own for
+/// CPA and MCPA, HCPA's for HCPA and both RATS mappings.
+AllocationKind allocation_kind(SchedulerKind kind);
+
+/// Runs the requested two-step scheduler end to end: allocates, then
+/// maps with the overload below.
 Schedule build_schedule(const TaskGraph& graph, const Cluster& cluster,
                         const SchedulerOptions& options = {});
+
+/// Runs step two of `options.kind` on a given step-one `allocation`,
+/// i.e. `allocate` with `allocation_kind(options.kind)` — how a run
+/// matrix shares one allocation among the algorithms that read it.
+Schedule build_schedule(const TaskGraph& graph, const Cluster& cluster,
+                        const Allocation& allocation,
+                        const SchedulerOptions& options);
 
 }  // namespace rats

@@ -1,14 +1,19 @@
-// Unit tests for the experiment harness: parallel execution, relative
-// series, pairwise comparison and degradation-from-best aggregations.
+// Unit tests for the experiment harness: parallel execution, the run
+// matrix's shared step one, relative series, pairwise comparison and
+// degradation-from-best aggregations.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <functional>
 #include <numeric>
 
 #include "common/error.hpp"
 #include "exp/experiment.hpp"
 #include "exp/parallel.hpp"
+#include "exp/presets.hpp"
 #include "exp/tuning.hpp"
+#include "obs/registry.hpp"
 #include "platform/grid5000.hpp"
 
 namespace rats {
@@ -205,26 +210,126 @@ TEST(Tuning, ParameterListsMatchPaper) {
             (std::vector<double>{0.2, 0.4, 0.5, 0.6, 0.8, 1.0}));
 }
 
-TEST(Tuning, ReferenceMakespansArePositive) {
-  CorpusOptions o;
-  o.random_samples = 1;
-  o.kernel_samples = 1;
-  const auto corpus = build_family(DagFamily::Strassen, o);
-  const auto ref = reference_makespans(corpus, grid5000::chti());
-  ASSERT_EQ(ref.size(), 1u);
-  EXPECT_GT(ref[0], 0.0);
+// ------------------------------------------------ run matrix step one
+
+/// Turns metrics on for the scope: the allocation counter is gated on
+/// them.
+struct MetricsOn {
+  MetricsOn() : was(obs::metrics_enabled()) { obs::set_metrics_enabled(true); }
+  ~MetricsOn() { obs::set_metrics_enabled(was); }
+  bool was;
+};
+
+std::uint64_t allocations() {
+  return obs::counter("sched/allocations").value();
 }
 
-TEST(Tuning, AverageRelativeOfReferenceIsOne) {
-  CorpusOptions o;
-  o.random_samples = 1;
-  o.kernel_samples = 1;
-  const auto corpus = build_family(DagFamily::Strassen, o);
-  const Cluster c = grid5000::chti();
-  const auto ref = reference_makespans(corpus, c);
-  SchedulerOptions hcpa;
-  hcpa.kind = SchedulerKind::Hcpa;
-  EXPECT_NEAR(average_relative_makespan(corpus, c, hcpa, ref), 1.0, 1e-12);
+/// One entry of each family: layered, irregular, FFT, Strassen.
+std::vector<CorpusEntry> mixed_corpus() {
+  presets::CorpusConfig cfg;
+  cfg.samples_random = 1;
+  cfg.samples_kernel = 1;
+  return presets::cap_per_family(presets::make_corpus(cfg), cfg, 1);
+}
+
+/// All five schedulers: three allocation kinds (CPA, MCPA, HCPA).
+std::vector<AlgoSpec> all_schedulers() {
+  std::vector<AlgoSpec> algos;
+  for (SchedulerKind kind :
+       {SchedulerKind::Cpa, SchedulerKind::Mcpa, SchedulerKind::Hcpa,
+        SchedulerKind::RatsDelta, SchedulerKind::RatsTimeCost}) {
+    SchedulerOptions options;
+    options.kind = kind;
+    algos.push_back({to_string(kind), options});
+  }
+  return algos;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(RunMatrix, SharedStepOneMatchesStandaloneRunsBitwise) {
+  MetricsOn metrics;
+  const auto corpus = mixed_corpus();
+  ASSERT_EQ(corpus.size(), 4u);
+  const Cluster cluster = grid5000::chti();
+  const auto algos = all_schedulers();
+  std::vector<std::vector<RunOutcome>> alone(corpus.size());
+  for (std::size_t e = 0; e < corpus.size(); ++e)
+    for (const AlgoSpec& algo : algos)
+      alone[e].push_back(run_scenario(corpus[e].graph, cluster, algo.options));
+
+  for (unsigned threads : {1u, 4u}) {
+    const std::uint64_t before = allocations();
+    const auto data = run_experiment(corpus, cluster, algos, threads);
+    EXPECT_EQ(allocations() - before, corpus.size() * 3) << threads;
+    for (std::size_t e = 0; e < corpus.size(); ++e)
+      for (std::size_t a = 0; a < algos.size(); ++a) {
+        const RunOutcome& out = data.outcome[e][a];
+        EXPECT_TRUE(same_bits(out.makespan, alone[e][a].makespan) &&
+                    same_bits(out.work, alone[e][a].work))
+            << corpus[e].name << " / " << algos[a].name << " at " << threads
+            << " threads";
+      }
+  }
+}
+
+/// Injects every run of the entries `injected` selects, the way the
+/// serve plan, replay and other-shard passes do.
+class InjectEntries final : public RunSession {
+ public:
+  InjectEntries(std::size_t algos, std::function<bool(std::size_t)> injected)
+      : algos_(algos), injected_(std::move(injected)) {}
+  bool inject(std::size_t run, const RunMeta&, RunOutcome& out) override {
+    if (!injected_(run / algos_)) return false;
+    out = RunOutcome{1.0, 2.0, {}};
+    return true;
+  }
+  TraceSink* begin_run(std::size_t, const RunMeta&) override {
+    ++simulated;
+    return nullptr;
+  }
+  void end_run(std::size_t, const RunOutcome&) override {}
+
+  std::atomic<std::size_t> simulated{0};
+
+ private:
+  std::size_t algos_;
+  std::function<bool(std::size_t)> injected_;
+};
+
+TEST(RunMatrix, InjectedEntriesAreNeverAllocated) {
+  MetricsOn metrics;
+  const auto corpus = mixed_corpus();
+  const auto algos = all_schedulers();
+  const Cluster cluster = grid5000::chti();
+
+  InjectEntries even(algos.size(), [](std::size_t e) { return e % 2 == 0; });
+  std::uint64_t before = allocations();
+  const auto data = run_experiment(corpus, cluster, algos, 4, &even);
+  EXPECT_EQ(allocations() - before, (corpus.size() / 2) * 3);
+  EXPECT_EQ(even.simulated.load(), (corpus.size() / 2) * algos.size());
+  for (std::size_t e = 0; e < corpus.size(); e += 2)
+    for (const RunOutcome& out : data.outcome[e])
+      EXPECT_EQ(out.makespan, 1.0);
+
+  InjectEntries all(algos.size(), [](std::size_t) { return true; });
+  before = allocations();
+  run_experiment(corpus, cluster, algos, 4, &all);
+  EXPECT_EQ(allocations(), before);
+  EXPECT_EQ(all.simulated.load(), 0u);
+}
+
+TEST(RunMatrix, AllocationFailureRethrowsAndPoolStaysUsable) {
+  auto corpus = mixed_corpus();
+  corpus[1].graph = TaskGraph{};  // validate() throws inside allocate
+  const auto algos = all_schedulers();
+  const Cluster cluster = grid5000::chti();
+  for (int call = 0; call < 2; ++call)
+    EXPECT_THROW(run_experiment(corpus, cluster, algos, 4), Error);
+  corpus.erase(corpus.begin() + 1);
+  EXPECT_EQ(run_experiment(corpus, cluster, algos, 4).entries(), 3u);
 }
 
 }  // namespace
