@@ -3,7 +3,7 @@
 // fluid network flow simulation, DAG generation, and one end-to-end
 // schedule+simulate scenario per algorithm.
 //
-// Three modes:
+// Modes:
 //  * default            — google-benchmark microbenchmarks;
 //  * --grid [--out F]   — the solver scaling grid (flows x links x
 //                         events, old vs new solver), emitting JSON
@@ -17,11 +17,6 @@
 //                         before component scoping) or component-scoped
 //                         (the subset overload over one component).
 //                         Emits JSON; --quick shrinks it;
-//  * --bipartite        — cold-solve cost on flat-cluster populations
-//                         (every flow = {src uplink, dst downlink}):
-//                         general lazy-heap solver vs the
-//                         BipartiteWaterfillSolver specialization,
-//                         which must win on every cell.  Emits JSON;
 //  * --warmstart        — per-event re-solve cost after a single-flow
 //                         swap: full cold solve (what the engine paid
 //                         before warm starts) vs solve_warm over the
@@ -230,8 +225,6 @@ int run_grid(bool quick, const std::string& out_path) {
   std::fprintf(out, "  \"cells\": [\n");
   bool first = true;
   bool target_met = true;
-  long warm_attempts = 0;
-  long warm_declines = 0;
   for (const auto& cell : grid) {
     // Links must be even (NIC pairs) and host at least 2 nodes.
     const int links = cell.links % 2 ? cell.links + 1 : cell.links;
@@ -403,138 +396,6 @@ int run_components(bool quick, const std::string& out_path) {
   return 0;
 }
 
-// ------------------------------------------------- bipartite fast path
-//
-// Cold solves over flat-cluster populations (two links per flow): the
-// general solver vs the BipartiteWaterfillSolver.  Each event rewires
-// one flow so successive solves see fresh instances; both solvers pay a
-// full solve per event — exactly the fluid network's cold-solve path.
-
-int run_bipartite(bool quick, const std::string& out_path) {
-  struct Cell {
-    int flows, links;
-  };
-  std::vector<Cell> grid;
-  const std::vector<int> flow_counts =
-      quick ? std::vector<int>{100, 400} : std::vector<int>{100, 400, 1000, 4000};
-  const std::vector<int> link_counts =
-      quick ? std::vector<int>{64, 256} : std::vector<int>{64, 256};
-  for (int f : flow_counts)
-    for (int l : link_counts) grid.push_back({f, l});
-  const int events = quick ? 64 : 256;
-
-  std::filesystem::path path(out_path);
-  if (path.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(path.parent_path(), ec);
-  }
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"benchmark\": \"net_solver_bipartite\",\n");
-  std::fprintf(out, "  \"unit\": \"ms per cold solve\",\n  \"cells\": [\n");
-
-  bool first = true;
-  bool target_met = true;
-  long warm_attempts = 0;
-  long warm_declines = 0;
-  for (const auto& cell : grid) {
-    std::vector<Rate> capacity(static_cast<std::size_t>(cell.links), 125e6);
-    auto flows = make_flows(static_cast<std::size_t>(cell.flows), cell.links, 29);
-    std::vector<FlowDemandView> views(flows.size());
-    const auto refresh_views = [&] {
-      for (std::size_t f = 0; f < flows.size(); ++f)
-        views[f] = FlowDemandView{flows[f].links.data(),
-                                  static_cast<std::int32_t>(flows[f].links.size()),
-                                  flows[f].cap};
-    };
-    const auto rewire = [&](Rng& rng) {
-      const auto victim =
-          static_cast<std::size_t>(rng.uniform_int(0, flows.size() - 1));
-      const int nodes = cell.links / 2;
-      auto src = static_cast<std::int32_t>(rng.uniform_int(0, nodes - 1));
-      auto dst = static_cast<std::int32_t>(rng.uniform_int(0, nodes - 1));
-      if (dst == src) dst = (dst + 1) % nodes;
-      flows[victim].links = {2 * src, 2 * dst + 1};
-    };
-
-    // Equality check once per cell (not timed).
-    {
-      refresh_views();
-      MaxMinSolver general;
-      BipartiteWaterfillSolver bipartite;
-      std::vector<Rate> a(flows.size()), b(flows.size());
-      general.solve(capacity, views.data(), views.size(), a.data());
-      bipartite.solve(capacity, views.data(), views.size(), b.data());
-      for (std::size_t f = 0; f < flows.size(); ++f)
-        if (a[f] != b[f]) {
-          std::fprintf(stderr, "FAIL: bipartite rate mismatch at flow %zu\n", f);
-          std::fclose(out);
-          return 1;
-        }
-    }
-
-    const auto time_mode = [&](bool use_bipartite) {
-      // Best of two repetitions: a single OS hiccup on a busy (CI)
-      // machine must not flip the gate.
-      const auto saved = flows;
-      double best = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < 2; ++rep) {
-        flows = saved;  // identical population and event replay per rep
-        Rng rng(31);
-        MaxMinSolver general;
-        BipartiteWaterfillSolver bipartite;
-        std::vector<Rate> rates(flows.size());
-        const auto start = std::chrono::steady_clock::now();
-        for (int e = 0; e < events; ++e) {
-          refresh_views();
-          if (use_bipartite)
-            bipartite.solve(capacity, views.data(), views.size(), rates.data());
-          else
-            general.solve(capacity, views.data(), views.size(), rates.data());
-          benchmark::DoNotOptimize(rates);
-          rewire(rng);
-        }
-        const auto stop = std::chrono::steady_clock::now();
-        best = std::min(
-            best,
-            std::chrono::duration<double, std::milli>(stop - start).count() /
-                events);
-      }
-      return best;
-    };
-    const double general_ms = time_mode(false);
-    const double bipartite_ms = time_mode(true);
-    const double speedup = bipartite_ms > 0 ? general_ms / bipartite_ms : 0.0;
-
-    std::printf(
-        "flows=%-6d links=%-5d general=%8.4fms bipartite=%8.4fms "
-        "speedup=%5.2fx\n",
-        cell.flows, cell.links, general_ms, bipartite_ms, speedup);
-    if (!first) std::fprintf(out, ",\n");
-    first = false;
-    std::fprintf(out,
-                 "    {\"flows\": %d, \"links\": %d, \"general_ms\": %.6f, "
-                 "\"bipartite_ms\": %.6f, \"speedup\": %.3f}",
-                 cell.flows, cell.links, general_ms, bipartite_ms, speedup);
-    // Cells under a few hundred flows time at single-microsecond scale
-    // — reported, but too noisy to gate (especially on CI runners).
-    if (cell.flows >= 400 && speedup < 1.0) target_met = false;
-  }
-  std::fprintf(out,
-               "\n  ],\n  \"target\": \"bipartite beats the general solver on "
-               "every flat-cluster cell with >= 400 flows\"\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
-  if (!target_met) {
-    std::fprintf(stderr, "FAIL: bipartite slower than the general solver\n");
-    return 1;
-  }
-  return 0;
-}
-
 // ----------------------------------------------------- warm-start grid
 //
 // Event-driven usage with warm starts: after one flow departs and one
@@ -667,18 +528,9 @@ int run_warmstart(bool quick, const std::string& out_path) {
     }
 
     // Warm engine: traced solve once, then solve_warm per event.  Best
-    // of two deterministic repetitions, like the cold engine.  Run once
-    // per replay policy: kPrefix (historical prefix undo with its
-    // trace-fraction decline) and kCone (dependency-cone splice, the
-    // engine default) — the cone column must win on deep-cascade cells
-    // because it re-solves only the cone instead of declining.
-    struct WarmRun {
-      double ms = std::numeric_limits<double>::infinity();
-      int fallbacks = 0;
-    };
-    const auto run_warm = [&](WarmMode mode) {
-      WarmRun run;
-      int fallbacks = 0;
+    // of two deterministic repetitions, like the cold engine.
+    double warm_ms = std::numeric_limits<double>::infinity();
+    int fallbacks = 0;
     for (int rep = 0; rep < 2; ++rep) {
       fallbacks = 0;
       auto flows = initial;
@@ -703,7 +555,7 @@ int run_warmstart(bool quick, const std::string& out_path) {
         if (ev.departure) {
           const std::int32_t departing = ids[ev.victim];
           ok = solver.solve_warm(capacity, state, nullptr, 0, &departing, 1,
-                                 changed, mode);
+                                 changed);
           flows[ev.victim] = std::move(flows.back());
           flows.pop_back();
           ids[ev.victim] = ids.back();
@@ -715,7 +567,7 @@ int run_warmstart(bool quick, const std::string& out_path) {
               static_cast<std::int32_t>(ev.arriving.links.size()),
               ev.arriving.cap};
           ok = solver.solve_warm(capacity, state, &arrival, 1, nullptr, 0,
-                                 changed, mode);
+                                 changed);
           flows.push_back(std::move(ev.arriving));
           ids.push_back(arriving_id);
         }
@@ -729,37 +581,27 @@ int run_warmstart(bool quick, const std::string& out_path) {
         }
       }
       const auto stop = std::chrono::steady_clock::now();
-      run.ms = std::min(
-          run.ms,
+      warm_ms = std::min(
+          warm_ms,
           std::chrono::duration<double, std::milli>(stop - start).count() /
               events);
-      run.fallbacks = fallbacks;
     }
-      return run;
-    };
-    const WarmRun prefix = run_warm(WarmMode::kPrefix);
-    const WarmRun cone = run_warm(WarmMode::kCone);
 
-    const double speedup = cone.ms > 0 ? cold_ms / cone.ms : 0.0;
-    const double cone_vs_prefix = cone.ms > 0 ? prefix.ms / cone.ms : 0.0;
+    const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0.0;
     std::printf(
-        "flows=%-6d links=%-5d capped=%d cold=%8.4fms prefix=%8.4fms "
-        "cone=%8.4fms speedup=%5.2fx cone/prefix=%5.2fx fallbacks "
-        "prefix=%d/%d cone=%d/%d\n",
-        cell.flows, cell.links, cell.capped ? 1 : 0, cold_ms, prefix.ms,
-        cone.ms, speedup, cone_vs_prefix, prefix.fallbacks, events,
-        cone.fallbacks, events);
+        "flows=%-6d links=%-5d capped=%d cold=%8.4fms cone=%8.4fms "
+        "speedup=%5.2fx fallbacks=%d/%d\n",
+        cell.flows, cell.links, cell.capped ? 1 : 0, cold_ms, warm_ms,
+        speedup, fallbacks, events);
     if (!first) std::fprintf(out, ",\n");
     first = false;
     std::fprintf(out,
                  "    {\"flows\": %d, \"links\": %d, \"capped\": %s, "
-                 "\"cold_ms\": %.6f, \"prefix_ms\": %.6f, "
-                 "\"cone_ms\": %.6f, \"speedup\": %.3f, "
-                 "\"cone_vs_prefix\": %.3f, \"prefix_fallbacks\": %d, "
-                 "\"cone_fallbacks\": %d, \"events\": %d}",
+                 "\"cold_ms\": %.6f, \"cone_ms\": %.6f, "
+                 "\"speedup\": %.3f, \"cone_fallbacks\": %d, "
+                 "\"events\": %d}",
                  cell.flows, cell.links, cell.capped ? "true" : "false",
-                 cold_ms, prefix.ms, cone.ms, speedup, cone_vs_prefix,
-                 prefix.fallbacks, cone.fallbacks, events);
+                 cold_ms, warm_ms, speedup, fallbacks, events);
     // Speed gates.  On spread contention (links >= 256 here; fig2's
     // regime, where a grelon-scale platform has thousands of NIC
     // links) a single-flow delta touches a small dependency cone and
@@ -773,10 +615,10 @@ int run_warmstart(bool quick, const std::string& out_path) {
     if (cell.flows >= 400) {
       if (!cell.capped && cell.links >= 256 && speedup < 1.0)
         target_met = false;
-      if (cone.ms > 1.6 * cold_ms) target_met = false;
+      if (warm_ms > 1.6 * cold_ms) target_met = false;
     }
-    warm_attempts += 2 * events;
-    warm_declines += cone.fallbacks;
+    warm_attempts += events;
+    warm_declines += fallbacks;
   }
   // Warm-coverage floor: the cone engine only declines on structurally
   // invalid deltas (unknown departure, linkless arrival), never on
@@ -817,7 +659,6 @@ int run_warmstart(bool quick, const std::string& out_path) {
 int main(int argc, char** argv) {
   bool grid = false;
   bool components = false;
-  bool bipartite = false;
   bool warmstart = false;
   bool quick = false;
   std::string out_path;
@@ -828,8 +669,6 @@ int main(int argc, char** argv) {
       grid = true;
     } else if (std::strcmp(argv[i], "--components") == 0) {
       components = true;
-    } else if (std::strcmp(argv[i], "--bipartite") == 0) {
-      bipartite = true;
     } else if (std::strcmp(argv[i], "--warmstart") == 0) {
       warmstart = true;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
@@ -844,10 +683,9 @@ int main(int argc, char** argv) {
       passthrough.push_back(argv[i]);
     }
   }
-  if (grid + components + bipartite + warmstart > 1) {
+  if (grid + components + warmstart > 1) {
     std::fprintf(stderr,
-                 "--grid, --components, --bipartite and --warmstart are "
-                 "exclusive\n");
+                 "--grid, --components and --warmstart are exclusive\n");
     return 1;
   }
   if (components)
@@ -855,11 +693,6 @@ int main(int argc, char** argv) {
         quick,
         out_path.empty() ? "bench/results/net_solver_components.json"
                          : out_path);
-  if (bipartite)
-    return run_bipartite(quick,
-                         out_path.empty()
-                             ? "bench/results/net_solver_bipartite.json"
-                             : out_path);
   if (warmstart)
     return run_warmstart(quick,
                          out_path.empty()

@@ -24,6 +24,8 @@
 // subcommand (also used by examples/docs):
 //   rats sched --generate fft:8 --platform flat:64:3.0 --algo delta \
 //              --mindelta -0.5 --maxdelta 1 --dot fft.dot
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -43,7 +45,6 @@
 #include "daggen/kernels.hpp"
 #include "daggen/random_dag.hpp"
 #include "exp/autotune.hpp"
-#include "exp/runner.hpp"
 #include "io/workflow_io.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -190,6 +191,18 @@ unsigned parse_threads(const char* text) {
   return static_cast<unsigned>(v);
 }
 
+/// Parses a seed: decimal digits only (strtoull would wrap a sign) that
+/// fit 64 bits.  Anything else exits through `fail(2)`.
+std::uint64_t parse_seed(const char* text, void (*fail)(int)) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
+      errno == ERANGE)
+    fail(2);
+  return v;
+}
+
 /// Wall-clock watchdog for `rats run --timeout`: a detached thread
 /// that force-exits the process (status 124, timeout(1) convention)
 /// unless disarmed before the deadline.  A detached thread rather than
@@ -269,16 +282,7 @@ int cmd_run(int argc, char** argv) {
   // switches after parsing.
   if (!options.metrics_path.empty()) obs::set_metrics_enabled(true);
   if (!options.profile_path.empty()) obs::set_profiling_enabled(true);
-  // RATS_RUN_STATS=1 prints how many schedule+simulate runs the
-  // scenario cost — the CI gate that a traced run's matrix was
-  // simulated exactly once (report and trace share the pass).
-  const std::uint64_t runs_before = simulated_run_count();
   scenario::run(scenario::load_scenario(file), options);
-  const char* stats = std::getenv("RATS_RUN_STATS");
-  if (stats != nullptr && *stats != '\0' && *stats != '0')
-    std::fprintf(stderr, "run-stats: simulated %llu runs\n",
-                 static_cast<unsigned long long>(simulated_run_count() -
-                                                 runs_before));
   return 0;
 }
 
@@ -357,8 +361,7 @@ int cmd_fuzz(int argc, char** argv) {
     };
     if (a == "--quick") options.count = 100;
     else if (a == "--count") options.count = static_cast<int>(next_long(1));
-    else if (a == "--seed")
-      options.seed = std::strtoull(next(), nullptr, 10);
+    else if (a == "--seed") options.seed = parse_seed(next(), usage);
     else if (a == "--timeout") {
       char* end = nullptr;
       options.timeout_secs = std::strtod(next(), &end);
@@ -494,15 +497,22 @@ int cmd_sched(int argc, char** argv) {
       if (i + 1 >= argc) sched_usage(2);
       return argv[++i];
     };
+    auto next_double = [&] {
+      const char* text = next();
+      char* end = nullptr;
+      const double v = std::strtod(text, &end);
+      if (end == text || *end != '\0') sched_usage(2);
+      return v;
+    };
     if (a == "--dag") dag_file = next();
     else if (a == "--generate") gen_spec = next();
     else if (a == "--platform") platform = next();
     else if (a == "--algo") algo = next();
-    else if (a == "--mindelta") mindelta = std::atof(next());
-    else if (a == "--maxdelta") maxdelta = std::atof(next());
-    else if (a == "--minrho") minrho = std::atof(next());
+    else if (a == "--mindelta") mindelta = next_double();
+    else if (a == "--maxdelta") maxdelta = next_double();
+    else if (a == "--minrho") minrho = next_double();
     else if (a == "--no-packing") packing = false;
-    else if (a == "--seed") seed = std::strtoull(next(), nullptr, 10);
+    else if (a == "--seed") seed = parse_seed(next(), sched_usage);
     else if (a == "--no-contention") sim_options.contention = false;
     else if (a == "--dot") dot_file = next();
     else if (a == "--save") save_file = next();

@@ -22,6 +22,9 @@ namespace rats::fuzz {
 
 namespace {
 
+/// Worker threads of the second report pass and trace render.
+constexpr unsigned kWideThreads = 4;
+
 OracleReport violated(const std::string& oracle, std::string what) {
   // Diagnoses head repro files and summary lines: keep them one line.
   for (char& c : what)
@@ -324,10 +327,14 @@ OracleReport run_battery(const scenario::ScenarioSpec& spec) {
       }
     }
 
-    // Report pipeline: two independent passes must render byte-equal
-    // text, CSV and JSON.
+    // Report pipeline: a pass at the spec's thread count and one on a
+    // kWideThreads pool must render byte-equal text, CSV and JSON, so
+    // one comparison checks run-twice determinism and thread-count
+    // invariance.
+    scenario::ScenarioSpec wide = spec;
+    wide.threads = kWideThreads;
     const report::ReportModel m1 = scenario::build_report(spec);
-    const report::ReportModel m2 = scenario::build_report(spec);
+    const report::ReportModel m2 = scenario::build_report(wide);
     if (report::render_text(m1) != report::render_text(m2))
       return violated("report-determinism", "text rendering differs");
     if (report::render_csv(m1) != report::render_csv(m2))
@@ -335,11 +342,11 @@ OracleReport run_battery(const scenario::ScenarioSpec& spec) {
     if (report::render_json(m1) != report::render_json(m2))
       return violated("report-determinism", "JSON rendering differs");
 
-    // Trace: render twice, then replay the stream against its own
-    // embedded spec.
+    // Trace: render on one thread and on kWideThreads, then replay the
+    // stream against its own embedded spec.
     if (scenario::kind_supports_trace(spec.kind)) {
       const std::string t1 = scenario::render_trace(spec, 1);
-      if (scenario::render_trace(spec, 1) != t1)
+      if (scenario::render_trace(spec, kWideThreads) != t1)
         return violated("trace-determinism", "re-rendered trace differs");
       const ReplayReport rep = verify_trace_text(t1, "<fuzz-trace>", 1);
       if (!rep.ok) return violated("trace-replay", rep.error);

@@ -20,10 +20,12 @@
 //  * FaultStats accounting: capacity·s lost and node·s down match an
 //    independent integral over the event timeline; healthy runs report
 //    all-zero stats;
-//  * report determinism: text, CSV and JSON renderings are
-//    byte-identical across two independent build_report passes;
-//  * trace replay: the rendered trace verifies against its own
-//    embedded spec (traceable kinds).
+//  * report determinism and thread-count invariance: text, CSV and
+//    JSON renderings are byte-identical across two independent
+//    build_report passes, the second on a 4-thread pool;
+//  * trace determinism and replay: the trace renders byte-identically
+//    on 1 and 4 threads and verifies against its own embedded spec
+//    (traceable kinds).
 //
 // The RATS_FUZZ_INJECT environment variable deliberately breaks the
 // battery for end-to-end tests of the minimize→pin loop:

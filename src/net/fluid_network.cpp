@@ -720,37 +720,26 @@ void FluidNetwork::solve_cold(std::int32_t c) {
   const std::size_t n = comp.members.size();
   demand_views_.clear();
   if (local_index_.size() < flows_.size()) local_index_.resize(flows_.size());
-  bool two_link = true;
   for (std::size_t k = 0; k < n; ++k) {
     const auto fi = static_cast<std::size_t>(ids[k]);
     const std::int32_t off = route_off_[fi];
-    const std::int32_t len = route_off_[fi + 1] - off;
-    demand_views_.push_back(FlowDemandView{route_links_.data() + off, len,
-                                           flows_[fi].cap});
-    two_link = two_link && len == 2;
+    demand_views_.push_back(FlowDemandView{
+        route_links_.data() + off, route_off_[fi + 1] - off, flows_[fi].cap});
     local_index_[fi] = static_cast<std::int32_t>(k);
   }
   group_rates_.resize(n);
   if (trace_)
     trace_->record(now_, TraceEventKind::SolveComponent, c,
-                   static_cast<std::int32_t>(n),
-                   two_link ? kSolveBipartite : kSolveGeneral);
+                   static_cast<std::int32_t>(n), kSolveGeneral);
   SolverStats& stats = solver_stats();
-  stats.bump(two_link ? stats.bipartite : stats.general);
-  obs::PhaseTimer span(two_link ? "solve/bipartite" : "solve/general");
+  stats.bump(stats.general);
+  obs::PhaseTimer span("solve/general");
   const auto t0 = stats.enabled() ? std::chrono::steady_clock::now()
                                   : std::chrono::steady_clock::time_point{};
-  if (two_link) {
-    // Flat-cluster component ({src uplink, dst downlink} routes): the
-    // bipartite waterfilling specialization.
-    bipartite_.solve(capacity_, demand_views_.data(), n, group_rates_.data(),
-                     &comp.warm, ids);
-  } else {
-    // The live per-link membership lists are exactly this component's
-    // adjacency, so the solver can walk them instead of building a CSR.
-    solver_.solve(capacity_, demand_views_.data(), n, group_rates_.data(),
-                  link_members_, local_index_, &comp.warm, ids);
-  }
+  // The live per-link membership lists are exactly this component's
+  // adjacency, so the solver walks them instead of building a CSR.
+  solver_.solve(capacity_, demand_views_.data(), n, group_rates_.data(),
+                link_members_, local_index_, &comp.warm, ids);
   if (stats.enabled())
     stats.add(stats.ns_cold,
               static_cast<std::uint64_t>(

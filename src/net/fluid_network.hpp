@@ -45,12 +45,10 @@
 //    departures recorded since; when the trace is live the component
 //    is re-solved *warm* — only the saturation cascade the changed
 //    flows can reach is recomputed, O(cascade) instead of
-//    O(component).  Cold solves (first solve, post-split, deep
-//    cascades) go to the bipartite waterfilling fast path when every
-//    member crosses exactly two links (always true on
-//    `Cluster::flat_routes()` platforms), and to the general
-//    adjacency-sharing solver otherwise; both re-record the trace.  A
-//    merge turns the absorbed component's members into pending
+//    O(component).  Cold solves (first solve, post-split, declined
+//    warm deltas) go to the adjacency-sharing lazy-heap solver, which
+//    walks the live per-link membership lists and re-records the
+//    trace.  A merge turns the absorbed component's members into pending
 //    arrivals of the survivor, so warm solving survives the common
 //    merge-on-arrival; a split invalidates the union's trace and
 //    cold-solves the parts (priming their own traces).
@@ -344,9 +342,8 @@ class FluidNetwork {
   /// short-circuit, warm re-solve over the pending delta when the
   /// trace allows it, else a traced cold solve.
   void solve_component(std::int32_t c);
-  /// Traced cold solve of a component: bipartite waterfilling when
-  /// every member crosses exactly two links, the general
-  /// adjacency-sharing solver otherwise.  Re-primes `warm`.
+  /// Traced cold solve of a component through the adjacency-sharing
+  /// solver.  Re-primes `warm`.
   void solve_cold(std::int32_t c);
 
   const Cluster* cluster_;
@@ -403,7 +400,6 @@ class FluidNetwork {
   std::vector<FlowId> completed_;
   std::vector<FlowId> drained_;
   MaxMinSolver solver_;
-  BipartiteWaterfillSolver bipartite_;
   std::vector<FlowArrival> arrivals_scratch_;
   std::vector<std::pair<std::int32_t, Rate>> changed_;
 

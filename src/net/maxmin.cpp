@@ -334,8 +334,7 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
                               std::size_t num_arrivals,
                               const std::int32_t* departures,
                               std::size_t num_departures,
-                              std::vector<std::pair<std::int32_t, Rate>>& changed,
-                              WarmMode mode) {
+                              std::vector<std::pair<std::int32_t, Rate>>& changed) {
   SolverStats& stats = solver_stats();
   stats.bump(stats.warm_attempts);
   const auto decline = [&stats] {
@@ -464,13 +463,6 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
       k < num_rounds ? static_cast<std::size_t>(state.rounds[k].first_settle)
                      : num_settles;
   const std::size_t undone = num_settles - first_undone;
-  const bool prefix = mode == WarmMode::kPrefix;
-  // Prefix mode re-solves every undone settle, so when the suffix
-  // covers most of the trace a cold solve is cheaper.  Cone mode
-  // commits untouched rounds verbatim — O(1) per settle, no heap — so
-  // even a full-trace undo beats a cold solve and there is no
-  // trace-fraction decline.
-  if (prefix && undone * 5 > num_settles * 3 && undone > 16) return decline();
 
   // ---- committed: everything below mutates `state` -------------------
 
@@ -565,24 +557,21 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
   work_off_.push_back(static_cast<std::int32_t>(work_flow_links_.size()));
 
   // Kept schedule: the recorded suffix rounds as work ranges, consumed
-  // in order by the merge.  Prefix mode replays everything through the
-  // cone instead.
+  // in order by the merge.  Committing untouched rounds verbatim costs
+  // O(1) per settle and no heap work, so even a full-trace undo beats
+  // a cold solve and there is no trace-fraction decline.
   warm_kept_.clear();
-  if (!prefix) {
-    warm_kept_.reserve(num_rounds - k);
-    for (std::size_t r = k; r < num_rounds; ++r) {
-      const auto s_begin =
-          static_cast<std::size_t>(state.rounds[r].first_settle);
-      const std::size_t s_end =
-          r + 1 < num_rounds
-              ? static_cast<std::size_t>(state.rounds[r + 1].first_settle)
-              : num_settles;
-      warm_kept_.push_back(
-          WarmKeptRound{state.rounds[r].share, state.rounds[r].key,
-                        state.rounds[r].link,
-                        warm_suffix_work_[s_begin - first_undone],
-                        warm_suffix_work_[s_end - first_undone]});
-    }
+  warm_kept_.reserve(num_rounds - k);
+  for (std::size_t r = k; r < num_rounds; ++r) {
+    const auto s_begin = static_cast<std::size_t>(state.rounds[r].first_settle);
+    const std::size_t s_end =
+        r + 1 < num_rounds
+            ? static_cast<std::size_t>(state.rounds[r + 1].first_settle)
+            : num_settles;
+    warm_kept_.push_back(WarmKeptRound{
+        state.rounds[r].share, state.rounds[r].key, state.rounds[r].link,
+        warm_suffix_work_[s_begin - first_undone],
+        warm_suffix_work_[s_end - first_undone]});
   }
 
   // Truncate the undone tail of the trace; the merge re-records.
@@ -669,13 +658,7 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
                        cap_greater);
       }
     };
-    if (prefix) {
-      for (const std::int32_t d : clinks)
-        warm_affected_[static_cast<std::size_t>(d)] = 1;
-      for (std::size_t w = 0; w < num_work; ++w) push_cap(w);
-    } else {
-      for (std::size_t w = num_recorded_work; w < num_work; ++w) push_cap(w);
-    }
+    for (std::size_t w = num_recorded_work; w < num_work; ++w) push_cap(w);
 
     // Share heap over the cone links only; kept rounds supply the
     // clean links' binding events in recorded order.  Pop order
@@ -934,185 +917,6 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
   if (num_work > 0)
     stats.record_warm_replay(cone_fixed, num_work);
   return true;
-}
-
-// ---- bipartite waterfilling --------------------------------------------
-
-void BipartiteWaterfillSolver::solve(const std::vector<Rate>& capacity,
-                                     const FlowDemandView* flows,
-                                     std::size_t num_flows, Rate* rates,
-                                     MaxMinWarmState* trace,
-                                     const std::int32_t* stable_ids) {
-  const std::size_t num_links = capacity.size();
-  if (slots_.size() < num_links) slots_.resize(num_links);
-  ++epoch_;
-
-  touched_.clear();
-  caps_.clear();
-  heap_.clear();
-  fixed_.assign(num_flows, 0);
-  flow_links_.resize(2 * num_flows);
-  if (trace) trace->invalidate();
-
-  // Pass 1: exactly two links per flow, unrolled.
-  std::size_t unfixed = num_flows;
-  Rate min_cap = std::numeric_limits<Rate>::infinity();
-  Rate max_touched_capacity = 0;
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    const FlowDemandView& d = flows[f];
-    RATS_REQUIRE(d.count == 2, "bipartite solver requires two-link routes");
-    rates[f] = 0.0;
-    for (std::size_t i = 0; i < 2; ++i) {
-      const std::int32_t l = d.links[i];
-      RATS_REQUIRE(l >= 0 && static_cast<std::size_t>(l) < num_links,
-                   "flow references unknown link");
-      LinkSlot& slot = slots_[static_cast<std::size_t>(l)];
-      if (slot.epoch != epoch_) {
-        const Rate cap_l = capacity[static_cast<std::size_t>(l)];
-        RATS_REQUIRE(cap_l > 0, "used link must have positive capacity");
-        slot.epoch = epoch_;
-        slot.remaining = cap_l;
-        slot.active = 0;
-        slot.index = static_cast<std::int32_t>(touched_.size());
-        touched_.push_back(l);
-        max_touched_capacity = std::max(max_touched_capacity, cap_l);
-      }
-      ++slot.active;
-      flow_links_[2 * f + i] = l;
-    }
-    if (std::isfinite(d.cap)) {
-      caps_.emplace_back(d.cap, static_cast<std::int32_t>(f));
-      min_cap = std::min(min_cap, d.cap);
-    }
-  }
-  if (trace) {
-    trace->links = touched_;
-    trace->act0.reserve(touched_.size());
-    for (const std::int32_t l : touched_)
-      trace->act0.push_back(slots_[static_cast<std::size_t>(l)].active);
-    trace->max_capacity = max_touched_capacity;
-  }
-  if (num_flows == 0) {
-    if (trace) trace->valid = true;
-    return;
-  }
-  if (min_cap > max_touched_capacity) caps_.clear();
-  std::sort(caps_.begin(), caps_.end());
-
-  // CSR straight from the per-link counts (no separate counting pass).
-  link_off_.assign(touched_.size() + 1, 0);
-  for (std::size_t q = 0; q < touched_.size(); ++q)
-    link_off_[q + 1] =
-        link_off_[q] + slots_[static_cast<std::size_t>(touched_[q])].active;
-  link_csr_.resize(2 * num_flows);
-  for (std::size_t f = 0; f < num_flows; ++f)
-    for (std::size_t i = 0; i < 2; ++i) {
-      const auto q = static_cast<std::size_t>(
-          slots_[static_cast<std::size_t>(flow_links_[2 * f + i])].index);
-      link_csr_[static_cast<std::size_t>(link_off_[q]++)] =
-          static_cast<std::int32_t>(f);
-    }
-  for (std::size_t q = touched_.size(); q > 0; --q)
-    link_off_[q] = link_off_[q - 1];
-  link_off_[0] = 0;
-
-  const auto heap_greater = std::greater<HeapEntry>();
-  for (const std::int32_t l : touched_) {
-    LinkSlot& slot = slots_[static_cast<std::size_t>(l)];
-    slot.key = slot.remaining / slot.active;
-    heap_.push_back(HeapEntry{slot.key, l, slot.index});
-  }
-  std::make_heap(heap_.begin(), heap_.end(), heap_greater);
-
-  const auto settle_flow = [&](std::int32_t f, Rate r) {
-    rates[static_cast<std::size_t>(f)] = r;
-    fixed_[static_cast<std::size_t>(f)] = 1;
-    --unfixed;
-    if (trace)
-      trace->settles.push_back(MaxMinWarmState::Settle{
-          stable_ids ? stable_ids[static_cast<std::size_t>(f)] : f,
-          static_cast<std::int32_t>(trace->log.size()), r,
-          flows[static_cast<std::size_t>(f)].cap});
-    for (std::size_t i = 0; i < 2; ++i) {
-      LinkSlot& slot = slots_[static_cast<std::size_t>(
-          flow_links_[2 * static_cast<std::size_t>(f) + i])];
-      if (trace)
-        trace->log.push_back(
-            MaxMinWarmState::LogEntry{slot.index, slot.remaining});
-      slot.remaining = std::max(0.0, slot.remaining - r);
-      --slot.active;
-      if (trace && slot.active > 0 &&
-          slot.remaining < slot.key * slot.active * (1 + kDipFilterSlack) &&
-          slot.remaining / slot.active < slot.key)
-        trace->dips.push_back(MaxMinWarmState::Dip{
-            static_cast<std::int32_t>(trace->rounds.size()) - 1, slot.index,
-            slot.key});
-    }
-  };
-
-  std::size_t cap_ptr = 0;
-  while (unfixed > 0) {
-    Rate link_share = std::numeric_limits<Rate>::infinity();
-    Rate link_key = std::numeric_limits<Rate>::infinity();
-    std::int32_t link = -1;
-    while (!heap_.empty()) {
-      const HeapEntry top = heap_.front();
-      const LinkSlot& slot = slots_[static_cast<std::size_t>(top.link)];
-      if (slot.active == 0) {
-        std::pop_heap(heap_.begin(), heap_.end(), heap_greater);
-        heap_.pop_back();
-        continue;
-      }
-      const Rate cur = slot.remaining / slot.active;
-      if (cur > top.share * (1 + kShareSlack)) {
-        std::pop_heap(heap_.begin(), heap_.end(), heap_greater);
-        heap_.back().share = cur;
-        slots_[static_cast<std::size_t>(top.link)].key = cur;
-        std::push_heap(heap_.begin(), heap_.end(), heap_greater);
-        continue;
-      }
-      link_share = cur;
-      link_key = top.share;
-      link = top.link;
-      break;
-    }
-
-    while (cap_ptr < caps_.size() &&
-           fixed_[static_cast<std::size_t>(caps_[cap_ptr].second)])
-      ++cap_ptr;
-    if (cap_ptr < caps_.size() && caps_[cap_ptr].first <= link_share) {
-      if (trace)
-        trace->rounds.push_back(MaxMinWarmState::Round{
-            static_cast<std::int32_t>(trace->settles.size()),
-            caps_[cap_ptr].first, -1, caps_[cap_ptr].first});
-      settle_flow(caps_[cap_ptr].second, caps_[cap_ptr].first);
-      ++cap_ptr;
-      continue;
-    }
-
-    RATS_REQUIRE(link >= 0 && std::isfinite(link_share),
-                 "no constraining link for active flows");
-    if (trace)
-      trace->rounds.push_back(MaxMinWarmState::Round{
-          static_cast<std::int32_t>(trace->settles.size()), link_share,
-          slots_[static_cast<std::size_t>(link)].index, link_key});
-    std::pop_heap(heap_.begin(), heap_.end(), heap_greater);
-    heap_.pop_back();
-    const auto q =
-        static_cast<std::size_t>(slots_[static_cast<std::size_t>(link)].index);
-    for (auto idx = static_cast<std::size_t>(link_off_[q]);
-         idx < static_cast<std::size_t>(link_off_[q + 1]); ++idx) {
-      const std::int32_t f = link_csr_[idx];
-      if (fixed_[static_cast<std::size_t>(f)]) continue;
-      settle_flow(f, link_share);
-    }
-  }
-  if (trace) {
-    trace->remaining.reserve(touched_.size());
-    for (const std::int32_t l : touched_)
-      trace->remaining.push_back(slots_[static_cast<std::size_t>(l)].remaining);
-    trace->valid = true;
-  }
 }
 
 std::vector<Rate> maxmin_fair_rates(const std::vector<Rate>& capacity,

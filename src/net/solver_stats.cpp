@@ -1,14 +1,10 @@
 #include "net/solver_stats.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace rats {
 
 SolverStats::SolverStats()
     : singleton(obs::counter("net/solve/singleton")),
       warm(obs::counter("net/solve/warm")),
-      bipartite(obs::counter("net/solve/bipartite")),
       general(obs::counter("net/solve/general")),
       warm_attempts(obs::counter("net/warm/attempts")),
       warm_hits(obs::counter("net/warm/hits")),
@@ -29,55 +25,6 @@ void SolverStats::record_warm_replay(std::uint64_t cone,
   if (undone > 0 && cone < undone)
     bucket = static_cast<std::size_t>((cone * 10) / undone);
   cone_fraction.record(bucket);
-}
-
-SolverStats::~SolverStats() {
-  // The classic stderr report stays behind its own env var: enabling
-  // metrics for a snapshot must not start spamming stderr at exit.
-  if (std::getenv("RATS_SOLVER_STATS") == nullptr)
-    return;
-  const std::uint64_t solves =
-      singleton.value() + warm.value() + bipartite.value() + general.value();
-  if (solves + warm_attempts.value() == 0)
-    return;
-  const auto u = [](std::uint64_t v) {
-    return static_cast<unsigned long long>(v);
-  };
-  std::fprintf(stderr,
-               "MaxMinSolver strategies: %llu solves (%llu singleton, %llu "
-               "warm, %llu bipartite, %llu general)\n",
-               u(solves), u(singleton.value()), u(warm.value()),
-               u(bipartite.value()), u(general.value()));
-  const std::uint64_t attempts = warm_attempts.value();
-  if (attempts > 0) {
-    std::fprintf(stderr,
-                 "MaxMinSolver warm coverage: %llu hits / %llu attempts "
-                 "(%.1f%%), %llu cold fallbacks\n",
-                 u(warm_hits.value()), u(attempts),
-                 100.0 * static_cast<double>(warm_hits.value()) /
-                     static_cast<double>(attempts),
-                 u(warm_declined.value()));
-  }
-  const std::uint64_t undone = settles_kept.value() + settles_cone.value();
-  if (undone > 0) {
-    std::fprintf(stderr,
-                 "MaxMinSolver warm replay: %llu settles undone, %llu "
-                 "re-solved via cone (%.1f%%), %llu committed from trace\n",
-                 u(undone), u(settles_cone.value()),
-                 100.0 * static_cast<double>(settles_cone.value()) /
-                     static_cast<double>(undone),
-                 u(settles_kept.value()));
-    std::fprintf(stderr, "MaxMinSolver cone/undone deciles:");
-    for (std::size_t b = 0; b < 10; ++b)
-      std::fprintf(stderr, " %llu", u(cone_fraction.bucket(b)));
-    std::fprintf(stderr, "\n");
-  }
-  if (ns_warm.total_ns() + ns_cold.total_ns() > 0)
-    std::fprintf(stderr,
-                 "MaxMinSolver time: %.3f s in warm solves, %.3f s in cold "
-                 "solves\n",
-                 static_cast<double>(ns_warm.total_ns()) * 1e-9,
-                 static_cast<double>(ns_cold.total_ns()) * 1e-9);
 }
 
 SolverStats& solver_stats() {

@@ -5,26 +5,20 @@
 // report's metrics section; this struct is the solver-side façade that
 // keeps the call sites one-liner cheap (`stats.bump(stats.warm)`).
 // Bumps are gated on obs::metrics_enabled() — one predictable branch
-// when off, a relaxed fetch_add when on.  Setting the legacy
-// RATS_SOLVER_STATS environment variable still (a) enables recording,
-// as an alias of RATS_METRICS, and (b) prints the classic exit report
-// to stderr, reproduced from registry state.
+// when off, a relaxed fetch_add when on.
 //
 // The counters measure the solver-strategy layer:
 //
 //   * per-strategy solve counts (singleton short-circuit, warm
-//     re-solve, bipartite waterfilling, general lazy-heap) as picked by
-//     the fluid network's dispatch;
+//     re-solve, general lazy-heap cold solve) as picked by the fluid
+//     network's dispatch;
 //   * warm re-solve attempts / hits / declines (cold fallbacks), i.e.
-//     the *warm coverage* the dependency-cone undo is supposed to
-//     raise;
+//     the *warm coverage*;
 //   * per-warm-solve replay composition: settles committed from the
 //     recorded trace ("kept") vs re-solved through the cone, plus a
-//     decile histogram of cone-size / undone-trace-size — small cones
-//     on deep undos are exactly the cases the prefix undo used to
-//     surrender to a cold solve.
+//     decile histogram of cone-size / undone-trace-size.
 //
-// See README.md ("Observability") for how to interpret the report.
+// See README.md ("Reading the solver counters") for how to read them.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +31,6 @@ struct SolverStats {
   // Strategy dispatch (fluid-network component solves).
   obs::Counter& singleton;
   obs::Counter& warm;
-  obs::Counter& bipartite;
   obs::Counter& general;
 
   // Warm re-solve outcomes (solver-level, all callers).
@@ -67,15 +60,12 @@ struct SolverStats {
   /// of `undone` undone (kept = undone - cone).
   void record_warm_replay(std::uint64_t cone, std::uint64_t undone);
 
-  ~SolverStats();
-
  private:
   SolverStats();
   friend SolverStats& solver_stats();
 };
 
-/// The process-wide instance (constructed on first use; when
-/// RATS_SOLVER_STATS is set, prints the classic report at exit).
+/// The process-wide instance (constructed on first use).
 SolverStats& solver_stats();
 
 }  // namespace rats

@@ -18,16 +18,11 @@ namespace rats::obs {
 
 namespace {
 
-/// The process-wide enable flag.  Seeded from the legacy env-var
-/// aliases once (static init of a function-local static), flipped by
+/// The process-wide enable flag.  Seeded from RATS_METRICS once
+/// (static init of a function-local static), flipped by
 /// set_metrics_enabled afterwards.
 std::atomic<bool>& enable_flag() {
-  static std::atomic<bool> enabled = [] {
-    return std::getenv("RATS_METRICS") != nullptr ||
-           std::getenv("RATS_SOLVER_STATS") != nullptr ||
-           std::getenv("RATS_REDIST_STATS") != nullptr ||
-           std::getenv("RATS_RUN_STATS") != nullptr;
-  }();
+  static std::atomic<bool> enabled{std::getenv("RATS_METRICS") != nullptr};
   return enabled;
 }
 

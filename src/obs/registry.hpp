@@ -1,21 +1,16 @@
 // Process-wide metrics registry — the unified observability layer.
 //
-// Every counter the codebase used to keep in scattered env-var
-// singletons (`RATS_SOLVER_STATS`, `RATS_REDIST_STATS`,
-// `RATS_RUN_STATS`) lives here as a *named* instrument: counters,
-// gauges, nanosecond timers and fixed-bucket histograms, registered
-// once by name and bumped live with relaxed atomics.  The proven
-// solver_stats pattern is generalized: when metrics are disabled every
-// instrument costs exactly one predictable branch (a relaxed load of
-// the process-wide enable flag), and nothing is printed or written, so
-// all outputs stay byte-identical to an uninstrumented build.
+// Every runtime counter of the pipeline lives here as a *named*
+// instrument: counters, gauges, nanosecond timers and fixed-bucket
+// histograms, registered once by name and bumped live with relaxed
+// atomics.  When metrics are disabled every instrument costs exactly
+// one predictable branch (a relaxed load of the process-wide enable
+// flag), and nothing is printed or written, so all outputs stay
+// byte-identical to an uninstrumented build.
 //
 // Enablement is process-wide and sticky:
 //  * `rats run --metrics/--profile/--progress` enables it for the run;
-//  * the legacy env vars RATS_SOLVER_STATS / RATS_REDIST_STATS /
-//    RATS_RUN_STATS (and the new RATS_METRICS) act as enable-aliases,
-//    and additionally select their legacy stderr exit report, which is
-//    reproduced verbatim from registry state.
+//  * the RATS_METRICS environment variable enables it at startup.
 //
 // Counter *values* are run-to-run deterministic (the work they count
 // is), with one exception class: counters whose value depends on which
@@ -42,7 +37,7 @@ namespace rats::obs {
 bool metrics_enabled();
 
 /// Turns recording on (CLI `--metrics`/`--progress`, tests) or off
-/// (tests only).  The env-var aliases are folded in at static init.
+/// (tests only).  RATS_METRICS is folded in at static init.
 void set_metrics_enabled(bool on);
 
 /// Whether a counter's *value* is reproducible across identical runs.

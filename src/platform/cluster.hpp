@@ -69,18 +69,6 @@ class Cluster {
   bool hierarchical_topology() const {
     return nodes_per_cabinet_ > 0 || !cabinet_start_.empty();
   }
-  /// Flat-topology predicate: true iff every src != dst route is
-  /// exactly {src uplink, dst downlink}.  Flat clusters satisfy it by
-  /// construction, as does a degenerate one-cabinet hierarchy; with
-  /// several cabinets cross-cabinet routes add uplink hops.  This is
-  /// the platform-level invariant behind the fluid network's bipartite
-  /// waterfilling dispatch (which tests each component's routes
-  /// directly, so same-cabinet components qualify even when the whole
-  /// platform does not); a property test checks the predicate against
-  /// per-flow route inspection.
-  bool flat_routes() const {
-    return !hierarchical_topology() || cabinets() == 1;
-  }
   int cabinets() const;
   /// Cabinet index of `node` (0 for flat clusters).
   int cabinet_of(NodeId node) const;

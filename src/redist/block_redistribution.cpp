@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -162,12 +160,11 @@ std::vector<std::vector<Bytes>> Redistribution::matrix() const {
 
 namespace {
 
-/// Process-wide planner statistics, registry-backed (obs::) and
-/// printed at exit when RATS_REDIST_STATS is set.  Counters are bumped
-/// live on every lookup (relaxed atomics, gated on
+/// Process-wide planner statistics, registry-backed (obs::).  Counters
+/// are bumped live on every lookup (relaxed atomics, gated on
 /// obs::metrics_enabled()) rather than folded in planner destructors:
 /// the persistent worker pool's threads — and their thread-local
-/// simulator planners — outlive the report, so destructor folding
+/// simulator planners — outlive any snapshot, so destructor folding
 /// silently dropped every pool worker's lookups.
 ///
 /// The counters are registered Volatile: the per-thread LRU caches
@@ -186,27 +183,8 @@ struct PlannerStats {
                              : (hit ? hits : misses);
     counter.inc();
   }
-  static void report(const char* label, std::uint64_t h, std::uint64_t m) {
-    if (h + m == 0) return;
-    std::fprintf(stderr,
-                 "RedistPlanner (%s): %llu hits / %llu lookups (%.1f%% hit "
-                 "rate)\n",
-                 label, static_cast<unsigned long long>(h),
-                 static_cast<unsigned long long>(h + m),
-                 100.0 * static_cast<double>(h) / static_cast<double>(h + m));
-  }
-  ~PlannerStats() {
-    if (std::getenv("RATS_REDIST_STATS") == nullptr) return;
-    const std::uint64_t sh = sim_hits.value(), sm = sim_misses.value();
-    const std::uint64_t mh = hits.value(), mm = misses.value();
-    report("simulator", sh, sm);
-    report("mapper", mh, mm);
-    report("total", sh + mh, sm + mm);
-  }
 };
 PlannerStats& planner_stats() {
-  // Function-local static: construction on first use pulls the obs
-  // registry up first, so it is destroyed after this reporter.
   static PlannerStats stats;
   return stats;
 }

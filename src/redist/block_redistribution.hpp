@@ -124,11 +124,9 @@ class Redistribution {
 ///    order is rounding-sensitive and must match a fresh plan's).
 /// The returned reference stays valid until the next `plan` call (an
 /// insertion may evict the least recently used entry).  Not
-/// thread-safe; use one instance per thread.  Set RATS_REDIST_STATS=1
-/// to print process-wide hit statistics at exit, split by call-site
-/// (simulator vs mapper, see `tag_simulator`) plus a summed total;
-/// counters are folded live so planners owned by persistent worker
-/// pool threads are included.
+/// thread-safe; use one instance per thread.  Every lookup bumps the
+/// process-wide `redist/plan/*` metrics counters, split by call-site
+/// (simulator vs mapper, see `tag_simulator`).
 class RedistPlanner {
  public:
   /// `capacity` bounds the number of cached plans (LRU batch eviction:
@@ -147,8 +145,8 @@ class RedistPlanner {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
-  /// Attributes this planner's RATS_REDIST_STATS counters to the
-  /// simulator bucket (so sim-side and mapper-side hit rates report
+  /// Attributes this planner's lookups to the `redist/plan/sim_*`
+  /// counters (so sim-side and mapper-side hit rates report
   /// separately).
   void tag_simulator() { sim_side_ = true; }
 

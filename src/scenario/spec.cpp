@@ -25,8 +25,8 @@ std::vector<Cluster> PlatformSpec::resolve() const {
   const Rate bandwidth = bandwidth_gbps * 1e9 / 8.0;
   if (!cabinet_nodes.empty()) {
     // Uniform cabinet sizes use the homogeneous constructor (its
-    // flat_routes()/cabinet arithmetic is the cheaper one); mixed sizes
-    // take the heterogeneous prefix-sum path.
+    // cabinet arithmetic is the cheaper one); mixed sizes take the
+    // heterogeneous prefix-sum path.
     bool uniform = true;
     for (const int n : cabinet_nodes) uniform = uniform && n == cabinet_nodes[0];
     const Seconds up_latency = uplink_latency_us * 1e-6;

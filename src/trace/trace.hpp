@@ -47,12 +47,13 @@ enum class TraceEventKind : std::uint8_t {
 /// Stable wire name of an event kind ("task_start", "rate_change", ...).
 const char* to_string(TraceEventKind kind);
 
-/// Solver-strategy codes carried by SolveComponent events.
+/// Solver-strategy codes carried by SolveComponent events.  Code 2 is
+/// reserved: older builds wrote it for a two-link cold solver, so their
+/// traces fail `rats verify` at the first such solve.
 enum : std::int32_t {
   kSolveSingleton = 0,  ///< single-flow short-circuit
   kSolveWarm = 1,       ///< warm re-solve over the pending delta
-  kSolveBipartite = 2,  ///< cold, bipartite waterfilling fast path
-  kSolveGeneral = 3,    ///< cold, general adjacency-sharing solver
+  kSolveGeneral = 3,    ///< cold, adjacency-sharing lazy-heap solver
 };
 
 /// One recorded event.  `a`/`b` are ids/counts per the kind table

@@ -323,12 +323,12 @@ TEST(FluidNetworkComponents, ComponentsSplitWhenTheBridgeCompletes) {
 }
 
 // ------------------------------------------------ warm-state exactness
-// The component solves dispatch among warm re-solves, the bipartite
-// fast path and the general solver; whatever the path — and across
-// merges (bulk pending arrivals), splits (trace invalidation) and the
-// amortized re-partition of large components — every released flow's
-// rate must equal a from-scratch Max-Min solve of the whole released
-// population, bit for bit.
+// The component solves dispatch between warm re-solves and the cold
+// solver; whatever the path — and across merges (bulk pending
+// arrivals), splits (trace invalidation) and the amortized
+// re-partition of large components — every released flow's rate must
+// equal a from-scratch Max-Min solve of the whole released population,
+// bit for bit.
 
 void expect_rates_match_full_solve(const Cluster& c, const FluidNetwork& net,
                                    const std::vector<FlowId>& flows,
@@ -355,8 +355,8 @@ void expect_rates_match_full_solve(const Cluster& c, const FluidNetwork& net,
 }
 
 TEST(FluidNetworkWarm, RandomTrafficRatesMatchFullSolveBitwise) {
-  // Flat (bipartite fast path + warm) and hierarchical (general solver
-  // + warm; cross-cabinet routes have four links) clusters.
+  // Flat (two-link routes) and hierarchical (cross-cabinet routes have
+  // four links) clusters.
   const std::vector<Cluster> clusters = {
       test_cluster(10),
       Cluster::hierarchical("h-test", 3, 4, 1e9, 100e-6, 125e6, 100e-6,

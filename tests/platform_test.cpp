@@ -146,43 +146,5 @@ TEST(Grid5000, AllReturnsThreeClusters) {
   EXPECT_EQ(clusters[2].name(), "grelon");
 }
 
-// Property: the flat-topology predicate (`flat_routes`, the bipartite
-// waterfilling dispatch condition) must agree with per-flow route
-// inspection — every src != dst route is exactly {src uplink, dst
-// downlink} — on randomly shaped platforms.
-TEST(Cluster, FlatRoutesPredicateMatchesRouteInspection) {
-  std::uint64_t state = 0xF1A7;
-  const auto next_u32 = [&state]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<std::uint32_t>(state >> 33);
-  };
-  std::vector<Cluster> platforms;
-  for (int i = 0; i < 12; ++i)
-    platforms.push_back(Cluster::flat(
-        "rand-flat", 1 + static_cast<int>(next_u32() % 60), 1e9, 100e-6,
-        125e6));
-  for (int i = 0; i < 12; ++i)
-    platforms.push_back(Cluster::hierarchical(
-        "rand-hier", 1 + static_cast<int>(next_u32() % 5),
-        1 + static_cast<int>(next_u32() % 12), 1e9, 100e-6, 125e6, 100e-6,
-        125e6));
-  for (const Cluster& c : platforms) {
-    bool all_two_link = true;
-    for (NodeId s = 0; s < c.num_nodes() && all_two_link; ++s)
-      for (NodeId d = 0; d < c.num_nodes(); ++d) {
-        if (s == d) continue;
-        const auto route = c.route(s, d);
-        if (route.size() != 2 || route[0] != c.nic_up(s) ||
-            route[1] != c.nic_down(d)) {
-          all_two_link = false;
-          break;
-        }
-      }
-    EXPECT_EQ(c.flat_routes(), all_two_link)
-        << c.name() << " nodes=" << c.num_nodes()
-        << " hierarchical=" << c.hierarchical_topology();
-  }
-}
-
 }  // namespace
 }  // namespace rats

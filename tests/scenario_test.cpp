@@ -255,7 +255,6 @@ TEST(ScenarioResolve, HeterogeneousCabinets) {
   const Cluster c = p.resolve_one();
   EXPECT_EQ(c.num_nodes(), 18);
   EXPECT_TRUE(c.hierarchical_topology());
-  EXPECT_FALSE(c.flat_routes());
   EXPECT_EQ(c.cabinets(), 3);
   EXPECT_EQ(c.cabinet_of(0), 0);
   EXPECT_EQ(c.cabinet_of(3), 0);
