@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   auto corpus = bench::cap_per_family(bench::make_corpus(cfg), cfg, 12);
   Cluster cluster = grid5000::grillon();
 
-  auto algos = bench::naive_algos();
+  auto algos = presets::naive_algos();
   bench::heading("Ablation: contention vs contention-free simulation, " +
                  cluster.name());
   Table table({"algorithm", "avg makespan inflation by contention",

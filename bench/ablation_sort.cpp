@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   auto corpus = bench::cap_per_family(bench::make_corpus(cfg), cfg, 12);
   Cluster cluster = grid5000::grillon();
 
-  auto algos = bench::naive_algos();  // HCPA, delta, time-cost
+  auto algos = presets::naive_algos();  // HCPA, delta, time-cost
   for (std::size_t a = 1; a < 3; ++a) {
     AlgoSpec unsorted = algos[a];
     unsorted.name += " (no 2nd sort)";

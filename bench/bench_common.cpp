@@ -1,5 +1,9 @@
 #include "bench_common.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,11 +25,32 @@ namespace {
   std::exit(code);
 }
 
-long parse_long(const char* prog, int argc, char** argv, int& i) {
-  if (i + 1 >= argc) usage(prog, 2);
+const char* next_arg(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) usage(argv[0], 2);
+  return argv[++i];
+}
+
+/// A count: decimal, >= 0 and within an int, as `rats` parses them.
+int parse_count(int argc, char** argv, int& i) {
+  const char* text = next_arg(argc, argv, i);
+  errno = 0;
   char* end = nullptr;
-  long v = std::strtol(argv[++i], &end, 10);
-  if (end == nullptr || *end != '\0') usage(prog, 2);
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < 0 || v > INT_MAX)
+    usage(argv[0], 2);
+  return static_cast<int>(v);
+}
+
+/// A seed: decimal digits only (strtoull would wrap a sign) that fit
+/// 64 bits, as `rats` parses them.
+std::uint64_t parse_seed(int argc, char** argv, int& i) {
+  const char* text = next_arg(argc, argv, i);
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
+      errno == ERANGE)
+    usage(argv[0], 2);
   return v;
 }
 
@@ -38,18 +63,15 @@ BenchConfig parse_args(int argc, char** argv) {
     if (std::strcmp(a, "--full") == 0) {
       cfg.corpus.full = true;
     } else if (std::strcmp(a, "--samples-random") == 0) {
-      cfg.corpus.samples_random =
-          static_cast<int>(parse_long(argv[0], argc, argv, i));
+      cfg.corpus.samples_random = parse_count(argc, argv, i);
     } else if (std::strcmp(a, "--samples-kernel") == 0) {
-      cfg.corpus.samples_kernel =
-          static_cast<int>(parse_long(argv[0], argc, argv, i));
+      cfg.corpus.samples_kernel = parse_count(argc, argv, i);
     } else if (std::strcmp(a, "--seed") == 0) {
-      cfg.corpus.seed =
-          static_cast<std::uint64_t>(parse_long(argv[0], argc, argv, i));
+      cfg.corpus.seed = parse_seed(argc, argv, i);
     } else if (std::strcmp(a, "--csv") == 0) {
       cfg.csv = true;
     } else if (std::strcmp(a, "--threads") == 0) {
-      cfg.threads = static_cast<unsigned>(parse_long(argv[0], argc, argv, i));
+      cfg.threads = static_cast<unsigned>(parse_count(argc, argv, i));
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       usage(argv[0], 0);
     } else {

@@ -5,7 +5,7 @@
 //                            [--metrics m.json] [--profile spans.json]
 //                            [--progress]
 //   rats verify <trace.jsonl> [--threads N]
-//   rats emit (<scenario.rats> | --kind <kind>)
+//   rats emit <scenario.rats>
 //   rats kinds
 //   rats fuzz [--quick] [--count N] [--seed S] [--timeout SECS]
 //             [--regress-dir DIR] [--index I] [--emit] [--no-minimize]
@@ -17,8 +17,8 @@
 // src/scenario/parser.hpp; cookbook in README.md).  `--trace` writes a
 // structured JSON-lines simulation trace that `verify` re-simulates
 // and byte-diffs — a whole-stack determinism check.  `emit` prints the
-// canonical form of a scenario file (or of a registry kind's default
-// spec, which is how the checked-in scenarios/*.rats were generated).
+// canonical form of a scenario file; every checked-in
+// scenarios/<kind>.rats is already in that form.
 //
 // The old direct scheduling interface survives as the `sched`
 // subcommand (also used by examples/docs):
@@ -83,7 +83,6 @@ namespace {
       "  verify <trace.jsonl>    re-simulate a trace and byte-diff it\n"
       "      --threads N         worker threads for the replay\n"
       "  emit <scenario.rats>    print the canonical form of a scenario\n"
-      "  emit --kind <kind>      print a registry kind's default scenario\n"
       "  kinds                   list registered scenario kinds\n"
       "  fuzz                    randomized validation campaign: generate\n"
       "                          seeded specs, run the invariant oracle\n"
@@ -314,25 +313,20 @@ int cmd_verify(int argc, char** argv) {
 }
 
 int cmd_emit(int argc, char** argv) {
-  std::string file, kind;
+  std::string file;
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--kind") {
-      if (i + 1 >= argc) usage(2);
-      kind = argv[++i];
-    } else if (a == "--help" || a == "-h") usage(0);
+    if (a == "--help" || a == "-h") usage(0);
     else if (!a.empty() && a[0] == '-') usage(2);
     else if (file.empty()) file = a;
     else usage(2);
   }
-  if (file.empty() == kind.empty()) {
-    std::fprintf(stderr, "rats emit: need a scenario file or --kind\n");
+  if (file.empty()) {
+    std::fprintf(stderr, "rats emit: missing scenario file\n");
     usage(2);
   }
-  const scenario::ScenarioSpec spec = kind.empty()
-                                          ? scenario::load_scenario(file)
-                                          : scenario::default_spec(kind);
-  std::printf("%s", scenario::emit_scenario(spec).c_str());
+  std::printf("%s",
+              scenario::emit_scenario(scenario::load_scenario(file)).c_str());
   return 0;
 }
 

@@ -1,11 +1,10 @@
 #include "exp/presets.hpp"
 
-#include <cstdio>
+#include <algorithm>
 #include <iterator>
 
 #include "common/error.hpp"
 #include "common/format.hpp"
-#include "common/table.hpp"
 
 namespace rats::presets {
 
@@ -158,21 +157,6 @@ std::vector<ExperimentData> run_tuned_experiments(
         return specs[c][family_index(corpus[e].family)];
       },
       threads, session, base_sim);
-}
-
-void heading(const std::string& title) {
-  std::printf("\n%s\n", title.c_str());
-  std::printf("%s\n", std::string(title.size(), '=').c_str());
-}
-
-void print_sorted_curve(const std::string& label,
-                        const std::vector<double>& series) {
-  auto curve = sorted_curve(series, 21);
-  std::printf("  %s (sorted, percentiles of the corpus):\n    ", label.c_str());
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    std::printf("%s%s", fmt(curve[i], 2).c_str(),
-                i + 1 == curve.size() ? "\n" : " ");
-  }
 }
 
 }  // namespace rats::presets

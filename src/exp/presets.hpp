@@ -1,12 +1,8 @@
-// Paper-experiment presets shared by the bench binaries and the
-// scenario engine: corpus construction (with the benches' stdout
-// announcements), the naive/tuned algorithm sets of the paper's main
-// comparison, tuned multi-cluster batch execution, and the small
-// report helpers (headings, sorted percentile curves).
-//
-// Everything here used to live in bench/bench_common.*; it moved into
-// the library so `rats run scenarios/fig2.rats` and the fig2 binary
-// execute — and print — the exact same code path.
+// Paper-experiment presets of the scenario engine: corpus construction
+// (with its "corpus: ..." announcement lines, captured into report
+// models), the naive/tuned algorithm sets of the paper's main
+// comparison, and tuned multi-cluster batch execution.  The ablation
+// benches build their corpora through the same functions.
 #pragma once
 
 #include <cstdint>
@@ -94,13 +90,5 @@ std::vector<ExperimentData> run_tuned_experiments(
     const std::vector<Cluster>& clusters, unsigned threads = 0,
     RunSession* session = nullptr,
     const SimulatorOptions* base_sim = nullptr);
-
-/// Prints a heading followed by an underline.
-void heading(const std::string& title);
-
-/// Renders a 21-point sorted percentile curve as an ASCII sparkline
-/// table row set ("x%  ratio").
-void print_sorted_curve(const std::string& label,
-                        const std::vector<double>& series);
 
 }  // namespace rats::presets

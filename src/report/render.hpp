@@ -8,9 +8,9 @@
 
 namespace rats::report {
 
-/// The paper-style text report — byte-identical to the output the
-/// legacy bench binaries printed.  With `csv_echo`, every table's CSV
-/// form follows its text form (the legacy `--csv` flag).
+/// The paper-style text report (pinned by scenarios/golden/kinds/).
+/// With `csv_echo`, every table's CSV form follows its text form
+/// (`rats run --csv`, `[output] csv = true`).
 std::string render_text(const ReportModel& model, bool csv_echo = false);
 
 /// Machine-readable CSV: every table, series and scalar as its own

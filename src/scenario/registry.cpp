@@ -99,54 +99,11 @@ class OffsetSession final : public RunSession {
   std::size_t offset_;
 };
 
-// ---- shared report fragments (byte-compatible with the benches) --------
-
-/// Figures 2 and 6: sorted curves followed by the relative-makespan
-/// summary table.
-void makespan_report(const ExperimentData& data, ReportModel& model) {
-  std::vector<std::vector<Cell>> rows;
-  for (std::size_t algo = 1; algo < data.algos(); ++algo) {
-    auto series = relative_series(data, algo, 0, /*makespan=*/true);
-    auto s = summarize_relative(series);
-    rows.push_back({cell(data.algo_names[algo]),
-                    cell(s.mean_ratio, fmt(s.mean_ratio, 3)),
-                    cell(1.0 - s.mean_ratio, fmt_percent(1.0 - s.mean_ratio, 1)),
-                    cell(s.fraction_better, fmt_percent(s.fraction_better, 1)),
-                    cell(s.fraction_equal, fmt_percent(s.fraction_equal, 1))});
-    model.series("relative-makespan/" + data.algo_names[algo],
-                 data.algo_names[algo], std::move(series));
-  }
-  TableModel& table = model.table(
-      "summary", {text_col("strategy"), num_col("avg relative makespan"),
-                  num_col("avg improvement"), num_col("shorter in"),
-                  num_col("equal in")});
-  table.rows = std::move(rows);
-}
-
-/// Figures 3 and 7: sorted curves followed by the relative-work table.
-void work_report(const ExperimentData& data, ReportModel& model) {
-  std::vector<std::vector<Cell>> rows;
-  for (std::size_t algo = 1; algo < data.algos(); ++algo) {
-    auto series = relative_series(data, algo, 0, /*makespan=*/false);
-    auto s = summarize_relative(series);
-    rows.push_back({cell(data.algo_names[algo]),
-                    cell(s.mean_ratio, fmt(s.mean_ratio, 3)),
-                    cell(s.fraction_better, fmt_percent(s.fraction_better, 1)),
-                    cell(s.fraction_equal, fmt_percent(s.fraction_equal, 1))});
-    model.series("relative-work/" + data.algo_names[algo],
-                 data.algo_names[algo], std::move(series));
-  }
-  TableModel& table = model.table(
-      "summary", {text_col("strategy"), num_col("avg relative work"),
-                  num_col("less work in"), num_col("equal in")});
-  table.rows = std::move(rows);
-}
-
 /// Corpus x algorithms on one cluster — the shared execution of the
-/// fig2/fig3/fig6/fig7 and generic kinds.  Tuned presets group by
-/// family (Table IV parameters), everything else runs one algo list.
-/// `session` observes every run: this is the single simulation pass a
-/// traced scenario shares between report and trace.
+/// figure and generic kinds.  Tuned presets group by family (Table IV
+/// parameters), everything else runs one algo list.  `session`
+/// observes every run: this is the single simulation pass a traced
+/// scenario shares between report and trace.
 ExperimentData run_matrix_experiment(const ScenarioSpec& spec,
                                      const std::vector<CorpusEntry>& entries,
                                      const Cluster& cluster,
@@ -161,30 +118,65 @@ ExperimentData run_matrix_experiment(const ScenarioSpec& spec,
                         spec.threads, session, events.base_sim);
 }
 
-void run_fig2(const ScenarioSpec& spec, ReportModel& model,
-              RunSession* session) {
-  auto corpus = resolve_workload(spec, model);
-  Cluster cluster = spec.platform.resolve_one();
-  auto data = run_matrix_experiment(spec, corpus, cluster, session);
-  model.heading("Figure 2: relative makespan vs HCPA, naive parameters, " +
-                cluster.name());
-  makespan_report(data, model);
-  model.text(
-      "\n  paper: delta ~9% shorter on average, better in 72% of "
-      "scenarios;\n         time-cost ~16% shorter, better in 80%.\n");
-}
+/// One row of the Figures 2, 3, 6 and 7 table.  The four figures run
+/// the same matrix (the naive or tuned preset comes from the spec's
+/// [algorithms]) and differ only in what they print.
+struct Figure {
+  const char* heading;  ///< the cluster name follows
+  bool makespan;        ///< relative makespan, else relative work
+  const char* paper;    ///< the paper's reading, printed last
+};
 
-void run_fig3(const ScenarioSpec& spec, ReportModel& model,
-              RunSession* session) {
+constexpr Figure kFig2{
+    "Figure 2: relative makespan vs HCPA, naive parameters, ", true,
+    "\n  paper: delta ~9% shorter on average, better in 72% of "
+    "scenarios;\n         time-cost ~16% shorter, better in 80%.\n"};
+constexpr Figure kFig3{
+    "Figure 3: relative work vs HCPA, naive parameters, ", false,
+    "\n  paper: both strategies stay close to HCPA's resource usage;\n"
+    "         delta consumes less than time-cost.\n"};
+constexpr Figure kFig6{
+    "Figure 6: relative makespan vs HCPA, tuned parameters, ", true,
+    "\n  paper: tuned delta ~13% shorter than HCPA on grillon (9% "
+    "naive);\n         time-cost improves only slightly over naive.\n"};
+constexpr Figure kFig7{
+    "Figure 7: relative work vs HCPA, tuned parameters, ", false,
+    "\n  paper: tuned RATS stays close to (mostly below) HCPA's resource "
+    "usage.\n"};
+
+/// A figure: each strategy's sorted curve relative to HCPA, then the
+/// summary table of the chosen metric, then the paper's reading.
+template <const Figure& kFigure>
+void run_figure(const ScenarioSpec& spec, ReportModel& model,
+                RunSession* session) {
   auto corpus = resolve_workload(spec, model);
   Cluster cluster = spec.platform.resolve_one();
   auto data = run_matrix_experiment(spec, corpus, cluster, session);
-  model.heading("Figure 3: relative work vs HCPA, naive parameters, " +
-                cluster.name());
-  work_report(data, model);
-  model.text(
-      "\n  paper: both strategies stay close to HCPA's resource usage;\n"
-      "         delta consumes less than time-cost.\n");
+  model.heading(strf("%s%s", kFigure.heading, cluster.name().c_str()));
+  const bool makespan = kFigure.makespan;
+  const char* metric = makespan ? "makespan" : "work";
+  std::vector<std::vector<Cell>> rows;
+  for (std::size_t algo = 1; algo < data.algos(); ++algo) {
+    auto series = relative_series(data, algo, 0, makespan);
+    const auto s = summarize_relative(series);
+    std::vector<Cell> row{cell(data.algo_names[algo]),
+                          cell(s.mean_ratio, fmt(s.mean_ratio, 3))};
+    if (makespan)
+      row.push_back(
+          cell(1.0 - s.mean_ratio, fmt_percent(1.0 - s.mean_ratio, 1)));
+    row.push_back(cell(s.fraction_better, fmt_percent(s.fraction_better, 1)));
+    row.push_back(cell(s.fraction_equal, fmt_percent(s.fraction_equal, 1)));
+    rows.push_back(std::move(row));
+    model.series(strf("relative-%s/%s", metric, data.algo_names[algo].c_str()),
+                 data.algo_names[algo], std::move(series));
+  }
+  std::vector<Column> columns{text_col("strategy"),
+                              num_col(strf("avg relative %s", metric))};
+  if (makespan) columns.push_back(num_col("avg improvement"));
+  columns.push_back(num_col(makespan ? "shorter in" : "less work in"));
+  columns.push_back(num_col("equal in"));
+  model.table("summary", std::move(columns)).rows = std::move(rows);
+  model.text(kFigure.paper);
 }
 
 void run_fig4(const ScenarioSpec& spec, ReportModel& model,
@@ -248,35 +240,11 @@ void run_fig5(const ScenarioSpec& spec, ReportModel& model,
       "  curve flattens beyond a threshold (0.5 on grillon).\n");
 }
 
-void run_fig6(const ScenarioSpec& spec, ReportModel& model,
-              RunSession* session) {
-  auto corpus = resolve_workload(spec, model);
-  Cluster cluster = spec.platform.resolve_one();
-  auto data = run_matrix_experiment(spec, corpus, cluster, session);
-  model.heading("Figure 6: relative makespan vs HCPA, tuned parameters, " +
-                cluster.name());
-  makespan_report(data, model);
-  model.text(
-      "\n  paper: tuned delta ~13% shorter than HCPA on grillon (9% "
-      "naive);\n         time-cost improves only slightly over naive.\n");
-}
-
-void run_fig7(const ScenarioSpec& spec, ReportModel& model,
-              RunSession* session) {
-  auto corpus = resolve_workload(spec, model);
-  Cluster cluster = spec.platform.resolve_one();
-  auto data = run_matrix_experiment(spec, corpus, cluster, session);
-  model.heading("Figure 7: relative work vs HCPA, tuned parameters, " +
-                cluster.name());
-  work_report(data, model);
-  model.text(
-      "\n  paper: tuned RATS stays close to (mostly below) HCPA's resource "
-      "usage.\n");
-}
-
 /// The generic sweep kind: a grid over any RatsParams fields, applied
-/// to a base algorithm, scored against a fresh HCPA reference — fig4
-/// and fig5 are fixed-shape presets of this.
+/// to a base algorithm, scored against a fresh HCPA reference.  fig4
+/// and fig5 keep their own runners: their pivot tables (mindelta x
+/// maxdelta, minrho x packing) are not this kind's one-row-per-point
+/// layout.
 void run_sweep(const ScenarioSpec& spec, ReportModel& model,
                RunSession* session) {
   struct Axis {
@@ -443,11 +411,11 @@ void redist_matrix_table(const Redistribution& r, Bytes unit,
   auto m = r.matrix();
   std::vector<Column> columns{text_col("")};
   for (int q = 0; q < r.receivers(); ++q)
-    columns.push_back(num_col("q" + std::to_string(q + 1)));
+    columns.push_back(num_col(strf("q%d", q + 1)));
   TableModel& table = model.table(id, std::move(columns));
   table.csv_echo = false;  // the legacy binaries never echoed these
   for (int p = 0; p < r.senders(); ++p) {
-    std::vector<Cell> row{cell("p" + std::to_string(p + 1))};
+    std::vector<Cell> row{cell(strf("p%d", p + 1))};
     for (int q = 0; q < r.receivers(); ++q) {
       double units =
           m[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)] / unit;
@@ -565,6 +533,7 @@ void run_table3(const ScenarioSpec& spec, ReportModel& model, RunSession*) {
 
 void run_table4(const ScenarioSpec& spec, ReportModel& model, RunSession*) {
   model.heading("Table IV: tuned (mindelta, maxdelta, minrho)");
+  const auto clusters = spec.platform.resolve();
   std::vector<std::vector<Cell>> rows;
   const int cap = spec.workload.cap_per_family > 0
                       ? spec.workload.cap_per_family
@@ -577,7 +546,7 @@ void run_table4(const ScenarioSpec& spec, ReportModel& model, RunSession*) {
         spec.workload.corpus, cap, &notes);
     if (!notes.empty()) model.text(std::move(notes));
     std::vector<Cell> row{cell(to_string(family))};
-    for (const Cluster& cluster : spec.platform.resolve()) {
+    for (const Cluster& cluster : clusters) {
       TunedParams t = tune(corpus, cluster, spec.threads);
       row.push_back(cell("(" + fmt(t.mindelta, 2) + ", " + fmt(t.maxdelta, 2) +
                          ", " + fmt(t.minrho, 2) + ")"));
@@ -588,10 +557,10 @@ void run_table4(const ScenarioSpec& spec, ReportModel& model, RunSession*) {
     }
     rows.push_back(std::move(row));
   }
-  TableModel& table = model.table(
-      "tuned-parameters", {text_col("family \\ cluster"), text_col("chti"),
-                           text_col("grillon"), text_col("grelon")});
-  table.rows = std::move(rows);
+  std::vector<Column> columns{text_col("family \\ cluster")};
+  for (const Cluster& cluster : clusters)
+    columns.push_back(text_col(cluster.name()));
+  model.table("tuned-parameters", std::move(columns)).rows = std::move(rows);
   model.text(
       "\n  paper Table IV (chti/grillon/grelon):\n"
       "    FFT      (-.5,1,.2)   (-.5,1,.2)   (-.25,.75,.4)\n"
@@ -613,7 +582,10 @@ void run_table5(const ScenarioSpec& spec, ReportModel& model,
                                      events.base_sim);
   const auto& names = per_cluster.front().algo_names;
 
-  model.heading("Table V: pairwise comparison (chti / grillon / grelon)");
+  std::string cluster_names;
+  for (const Cluster& cluster : clusters)
+    cluster_names += (cluster_names.empty() ? "" : " / ") + cluster.name();
+  model.heading("Table V: pairwise comparison (" + cluster_names + ")");
   TableModel& table = model.table(
       "pairwise", {text_col("algorithm"), text_col(""), text_col("vs HCPA"),
                    text_col("vs delta"), text_col("vs time-cost"),
@@ -956,12 +928,12 @@ struct KindEntry {
 };
 
 constexpr KindEntry kKinds[] = {
-    {"fig2", run_fig2, true, true},
-    {"fig3", run_fig3, true, true},
+    {"fig2", run_figure<kFig2>, true, true},
+    {"fig3", run_figure<kFig3>, true, true},
     {"fig4", run_fig4, true, true},
     {"fig5", run_fig5, true, true},
-    {"fig6", run_fig6, true, true},
-    {"fig7", run_fig7, true, true},
+    {"fig6", run_figure<kFig6>, true, true},
+    {"fig7", run_figure<kFig7>, true, true},
     {"table1", run_table1, false, false},
     {"table2", run_table2, false, false},
     {"table3", run_table3, false, false},
@@ -1319,83 +1291,6 @@ void run(const ScenarioSpec& spec, const RunOptions& options) {
                    "metrics");
   if (!options.profile_path.empty())
     write_artifact(options.profile_path, obs::spans_json(), "profile");
-}
-
-ScenarioSpec default_spec(const std::string& kind) {
-  require_kind(kind);
-  ScenarioSpec spec;
-  spec.name = kind;
-  spec.kind = kind;
-  spec.platform.presets = {"grillon"};
-  if (kind == "fig4") {
-    spec.workload.source = WorkloadSpec::Source::Family;
-    spec.workload.family = "fft";
-    spec.sweep.mindeltas = tuning_mindeltas();
-    spec.sweep.maxdeltas = tuning_maxdeltas();
-  } else if (kind == "fig5") {
-    spec.workload.source = WorkloadSpec::Source::Family;
-    spec.workload.family = "irregular";
-    spec.workload.cap_per_family = 16;
-    spec.sweep.minrhos = tuning_minrhos();
-  } else if (kind == "fig6" || kind == "fig7") {
-    spec.algorithms.preset = "tuned";
-  } else if (kind == "table2" || kind == "table4") {
-    spec.platform.presets = {"chti", "grillon", "grelon"};
-    if (kind == "table4") spec.workload.cap_per_family = 6;
-  } else if (kind == "table5" || kind == "table6") {
-    spec.platform.presets = {"chti", "grillon", "grelon"};
-    spec.workload.cap_per_family = 12;
-    spec.algorithms.preset = "tuned";
-  } else if (kind == "robustness") {
-    // Table VI's setting plus a representative timeline: background
-    // traffic on node 1's NIC, node 0 at half speed, node 2 failing
-    // and restarting.  Node ids 0-2 are valid on every preset cluster.
-    spec.platform.presets = {"chti", "grillon", "grelon"};
-    spec.workload.cap_per_family = 12;
-    spec.algorithms.preset = "tuned";
-    spec.events.timeline.on_fail = FailPolicy::Reschedule;
-    PlatformEvent slow;
-    slow.at = 1.0;
-    slow.kind = PlatformEventKind::NodeSlowdown;
-    slow.node = 0;
-    slow.factor = 0.5;
-    PlatformEvent traffic;
-    traffic.at = 2.0;
-    traffic.kind = PlatformEventKind::LinkCapacity;
-    traffic.node = 1;
-    traffic.factor = 0.25;
-    PlatformEvent fail;
-    fail.at = 3.0;
-    fail.kind = PlatformEventKind::NodeFail;
-    fail.node = 2;
-    PlatformEvent restart;
-    restart.at = 6.0;
-    restart.kind = PlatformEventKind::NodeRestart;
-    restart.node = 2;
-    spec.events.timeline.events = {slow, traffic, fail, restart};
-  } else if (kind == "experiment") {
-    spec.workload.source = WorkloadSpec::Source::Generate;
-    spec.workload.generator = "layered";
-    spec.workload.count = 3;
-    spec.workload.dag.num_tasks = 40;
-    spec.workload.dag.width = 0.5;
-    spec.workload.dag.density = 0.5;
-    spec.workload.dag.regularity = 0.5;
-  } else if (kind == "single") {
-    spec.workload.source = WorkloadSpec::Source::Generate;
-    spec.workload.generator = "fft";
-    spec.workload.count = 1;
-    spec.workload.fft_k = 8;
-    spec.algorithms.preset.clear();
-    spec.algorithms.algos = {presets::naive_algos().back()};
-  } else if (kind == "sweep") {
-    spec.workload.source = WorkloadSpec::Source::Family;
-    spec.workload.family = "fft";
-    spec.sweep.base = "delta";
-    spec.sweep.mindeltas = {-0.75, -0.5, -0.25, 0.0};
-    spec.sweep.maxdeltas = {0.5, 1.0};
-  }
-  return spec;
 }
 
 }  // namespace rats::scenario

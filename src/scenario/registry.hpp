@@ -2,9 +2,12 @@
 // runner machinery and builds the structured ReportModel the renderers
 // (report/render.hpp) turn into text/CSV/JSON.
 //
-// Kinds (one per paper artefact plus three generic ones):
-//   fig2 fig3 fig6 fig7      corpus x algorithms on one cluster
-//   fig4 fig5                parameter sweep grids (paper presets)
+// Kinds (one per paper figure or table, plus four generic ones); each
+// has its defaults in exactly one place, scenarios/<kind>.rats:
+//   fig2 fig3 fig6 fig7      corpus x algorithms on one cluster (rows
+//                            of one figure table: heading, metric,
+//                            paper note)
+//   fig4 fig5                the paper's parameter sweep pivot tables
 //   table1 table2 table3     static/structural reports
 //   table4                   full tuning sweeps (Table IV)
 //   table5 table6            tuned multi-cluster comparisons
@@ -82,10 +85,5 @@ void run(const ScenarioSpec& spec, const RunOptions& options = {});
 /// the replay checker's whole contract — and byte-identical to what
 /// `run` streams to the trace path.
 std::string render_trace(const ScenarioSpec& spec, unsigned threads);
-
-/// The spec the named fig/table bench binary runs by default — also
-/// the content of the checked-in scenarios/<kind>.rats files.  Throws
-/// on unknown kinds.
-ScenarioSpec default_spec(const std::string& kind);
 
 }  // namespace rats::scenario

@@ -1,15 +1,12 @@
 // Declarative scenario model: platforms, workloads, algorithms, sweep
-// grids and output selection as *data* rather than compiled bench
-// binaries.
+// grids and output selection as *data* rather than compiled code.
 //
 // A scenario is written as a `.rats` text file (see scenario/parser.hpp
 // for the grammar), bound into the ScenarioSpec struct below, and
 // executed through the kind registry (scenario/registry.hpp), which
 // maps each scenario kind onto the src/exp/ runner machinery.  Every
-// fig/table reproduction binary is expressible this way — the binaries
-// themselves build their default spec and run it through the same
-// path, so `rats run scenarios/fig2.rats` and `fig2_naive_makespan`
-// print byte-identical output.
+// paper figure and table runs this way, from its checked-in
+// scenarios/<kind>.rats file: `rats run scenarios/fig2.rats`.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +54,7 @@ struct WorkloadSpec {
   presets::CorpusConfig corpus;
   std::string family = "fft";  ///< Family source only
   /// Keep at most this many entries per family (0 = no cap; ignored
-  /// with corpus.full, mirroring the benches' --full behaviour).
+  /// with corpus.full, so --full restores the whole corpus).
   int cap_per_family = 0;
 
   /// Generate source: `count` samples of one generator.
@@ -71,7 +68,7 @@ struct WorkloadSpec {
   std::string path;
 
   /// Materializes the workload.  `announce`, when given, receives the
-  /// corpus-size lines the legacy bench binaries printed (the report
+  /// corpus-size lines ("corpus: ...", "(capped to ...)"; the report
   /// models capture them as text items; nullptr stays silent).
   std::vector<CorpusEntry> resolve(std::string* announce = nullptr) const;
 };
@@ -95,9 +92,9 @@ struct AlgorithmsSpec {
 /// Sweep section: parameter grids for the sweep kinds.  fig4/fig5 read
 /// their grids from here (empty lists fall back to the paper's grids);
 /// the generic `kind = "sweep"` crosses every non-empty grid over
-/// `base` (any RatsParams field on any workload source — fig4 is the
-/// (mindelta, maxdelta) x delta preset of it, fig5 the (minrho,
-/// packing) x time-cost one).
+/// `base` (any RatsParams field on any workload source — fig4 runs its
+/// (mindelta, maxdelta) x delta grid, fig5 its (minrho, packing) x
+/// time-cost grid, each printed as a pivot table by its own runner).
 struct SweepSpec {
   std::vector<double> mindeltas;
   std::vector<double> maxdeltas;

@@ -47,7 +47,8 @@ std::uint64_t stable_counter(const obs::Snapshot& snap,
 }
 
 scenario::ScenarioSpec tiny_fig2_spec() {
-  scenario::ScenarioSpec spec = scenario::default_spec("fig2");
+  scenario::ScenarioSpec spec = scenario::load_scenario(
+      std::string(RATS_SOURCE_DIR) + "/scenarios/fig2.rats");
   spec.workload.corpus.samples_random = 0;
   spec.workload.corpus.samples_kernel = 1;
   spec.workload.cap_per_family = 2;

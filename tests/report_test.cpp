@@ -11,6 +11,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/table.hpp"
@@ -34,6 +35,12 @@ std::string read_file(const std::string& path) {
 
 std::string golden_dir() {
   return std::string(RATS_SOURCE_DIR) + "/scenarios/golden/kinds/";
+}
+
+/// The checked-in scenario file of a kind: its one copy of defaults.
+scenario::ScenarioSpec kind_spec(const std::string& kind) {
+  return scenario::load_scenario(std::string(RATS_SOURCE_DIR) +
+                                 "/scenarios/" + kind + ".rats");
 }
 
 // ---- model → text ≡ legacy stdout, for every kind ----------------------
@@ -64,7 +71,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ReportGolden,
 // ---- structured content ------------------------------------------------
 
 scenario::ScenarioSpec tiny_fig2_spec() {
-  scenario::ScenarioSpec spec = scenario::default_spec("fig2");
+  scenario::ScenarioSpec spec = kind_spec("fig2");
   spec.workload.corpus.samples_random = 0;
   spec.workload.corpus.samples_kernel = 1;
   spec.workload.cap_per_family = 2;
@@ -92,6 +99,34 @@ TEST(ReportModelTest, Fig2CarriesTypedTablesAndSeries) {
       EXPECT_FALSE(item.series.values.empty());
     }
   EXPECT_EQ(series, 2);
+}
+
+TEST(ReportModelTest, MultiClusterTablesNameTheSpecClusters) {
+  const auto tiny = [](const char* kind, std::vector<std::string> clusters) {
+    scenario::ScenarioSpec spec = kind_spec(kind);
+    spec.platform.presets = std::move(clusters);
+    spec.workload.corpus.samples_random = 1;
+    spec.workload.corpus.samples_kernel = 1;
+    spec.workload.cap_per_family = 1;
+    spec.threads = 1;
+    return spec;
+  };
+  // Columns follow the spec's cluster list, in its order.
+  const report::ReportModel table4 =
+      scenario::build_report(tiny("table4", {"grelon", "chti"}));
+  const report::TableModel* tuned = table4.find_table("tuned-parameters");
+  ASSERT_NE(tuned, nullptr);
+  ASSERT_EQ(tuned->columns.size(), 3u);
+  EXPECT_EQ(tuned->columns[1].name, "grelon");
+  EXPECT_EQ(tuned->columns[2].name, "chti");
+  EXPECT_NE(report::render_text(table4).find("family \\ cluster"),
+            std::string::npos);
+
+  const report::ReportModel table5 =
+      scenario::build_report(tiny("table5", {"grillon"}));
+  EXPECT_NE(report::render_text(table5).find(
+                "Table V: pairwise comparison (grillon)\n"),
+            std::string::npos);
 }
 
 TEST(ReportRenderTest, CsvAndJsonCarryEveryTable) {
@@ -171,7 +206,7 @@ TEST(ReportRenderTest, RenderersAreDeterministic) {
 // ---- generic sweep kind ------------------------------------------------
 
 scenario::ScenarioSpec tiny_sweep_spec() {
-  scenario::ScenarioSpec spec = scenario::default_spec("sweep");
+  scenario::ScenarioSpec spec = kind_spec("sweep");
   spec.name = "tiny-sweep";
   spec.workload.corpus.samples_random = 0;
   spec.workload.corpus.samples_kernel = 1;
@@ -210,7 +245,7 @@ TEST(SweepKindTest, GridCrossesEveryAxisInOrder) {
 }
 
 TEST(SweepKindTest, RegistryRejectsEmptyGrids) {
-  scenario::ScenarioSpec spec = scenario::default_spec("sweep");
+  scenario::ScenarioSpec spec = kind_spec("sweep");
   spec.sweep = scenario::SweepSpec{};
   EXPECT_THROW(scenario::build_report(spec), Error);
 }
@@ -300,7 +335,7 @@ TEST(OnePassTraceTest, RunWithTracePathMatchesRenderTrace) {
 TEST(OnePassTraceTest, SessionOnUntraceableKindThrows) {
   CountingSession session;
   EXPECT_THROW(
-      scenario::build_report(scenario::default_spec("table1"), &session),
+      scenario::build_report(kind_spec("table1"), &session),
       Error);
 }
 

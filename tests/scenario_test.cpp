@@ -4,6 +4,8 @@
 // workloads, algorithm presets) and the kind registry.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
@@ -32,12 +34,20 @@ void expect_parse_error(const std::string& text, int line,
 
 // ---- round-tripping ----------------------------------------------------
 
+// Every kind's defaults live in one place, its checked-in scenario
+// file, which must already be in canonical form.
 TEST(ScenarioRoundTrip, EveryRegistryKindIsByteStable) {
   for (const std::string& kind : kinds()) {
-    const std::string once = emit_scenario(default_spec(kind));
-    const ScenarioSpec reparsed = parse_scenario_string(once, kind);
-    const std::string twice = emit_scenario(reparsed);
-    EXPECT_EQ(once, twice) << "emit/parse/emit drifted for kind " << kind;
+    const std::string path =
+        std::string(RATS_SOURCE_DIR) + "/scenarios/" + kind + ".rats";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << "missing scenario file " << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const ScenarioSpec spec = parse_scenario_string(text.str(), path);
+    EXPECT_EQ(spec.kind, kind) << path;
+    EXPECT_EQ(emit_scenario(spec), text.str())
+        << path << " is not in canonical form";
   }
 }
 
@@ -353,7 +363,6 @@ TEST(ScenarioRegistry, KindsAndTraceability) {
   EXPECT_FALSE(kind_supports_trace("table1"));
   EXPECT_FALSE(kind_supports_trace("table4"));
   EXPECT_FALSE(kind_supports_trace("nope"));
-  EXPECT_THROW(default_spec("nope"), Error);
 }
 
 // ---- [event] node-set selectors ----------------------------------------

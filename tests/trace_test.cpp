@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "daggen/kernels.hpp"
+#include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -229,7 +230,8 @@ TEST(TraceGanttTest, RendersSortedIntervals) {
 // ---- replay ------------------------------------------------------------
 
 scenario::ScenarioSpec tiny_experiment_spec() {
-  scenario::ScenarioSpec spec = scenario::default_spec("experiment");
+  scenario::ScenarioSpec spec = scenario::load_scenario(
+      std::string(RATS_SOURCE_DIR) + "/scenarios/experiment.rats");
   spec.name = "tiny";
   spec.workload.count = 1;
   spec.workload.dag.num_tasks = 20;
@@ -316,7 +318,8 @@ TEST(TraceReplayTest, RejectsNonTraces) {
 }
 
 TEST(TraceReplayTest, UntraceableKindsRefuse) {
-  auto spec = scenario::default_spec("table4");
+  auto spec = scenario::load_scenario(std::string(RATS_SOURCE_DIR) +
+                                     "/scenarios/table4.rats");
   EXPECT_THROW(scenario::render_trace(spec, 1), Error);
 }
 
