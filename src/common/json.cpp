@@ -58,8 +58,18 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // Each '{' or '[' recurses once; refusing deeper documents keeps
+        // hostile input from overflowing the stack (report JSON nests 5
+        // levels deep).
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        Value v = c == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': return string_value();
       case 't':
         if (!literal("true")) fail("bad literal");
@@ -234,8 +244,11 @@ class Parser {
     return v;
   }
 
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -62,7 +62,8 @@ struct Value {
 };
 
 /// Parses a complete JSON document; trailing non-whitespace is an
-/// error.  Throws rats::Error with a byte offset on malformed input.
+/// error.  Throws rats::Error with a byte offset on malformed input
+/// and on arrays or objects nested more than 256 levels deep.
 Value parse(const std::string& text);
 
 /// Escapes a string for embedding in a JSON document, matching the

@@ -2,18 +2,11 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace rats {
 
-std::vector<TaskId> topological_order(const TaskGraph& g) {
-  return g.topo_order();
-}
-
 std::vector<std::int32_t> task_levels(const TaskGraph& g) {
-  const std::vector<TaskId>& order = g.topo_order();
   std::vector<std::int32_t> level(static_cast<std::size_t>(g.num_tasks()), 0);
-  for (TaskId t : order)
+  for (TaskId t : topological_order(g))
     for (EdgeId e : g.in_edges(t)) {
       const TaskId src = g.edge(e).src;
       level[static_cast<std::size_t>(t)] =
@@ -38,38 +31,16 @@ std::vector<double> bottom_levels(const TaskGraph& g,
                                   const NodeCostFn& node_cost,
                                   const EdgeCostFn& edge_cost) {
   std::vector<double> bl;
-  bottom_levels_into(g, node_cost, edge_cost, bl);
+  bottom_levels_into(g, topological_order(g), node_cost, edge_cost, bl);
   return bl;
-}
-
-std::vector<double> top_levels(const TaskGraph& g, const NodeCostFn& node_cost,
-                               const EdgeCostFn& edge_cost) {
-  const std::vector<TaskId>& order = g.topo_order();
-  std::vector<double> tl(static_cast<std::size_t>(g.num_tasks()), 0.0);
-  for (TaskId t : order) {
-    double head = 0.0;
-    for (EdgeId e : g.in_edges(t)) {
-      const TaskId src = g.edge(e).src;
-      head = std::max(head, tl[static_cast<std::size_t>(src)] +
-                                node_cost(src) + edge_cost(e));
-    }
-    tl[static_cast<std::size_t>(t)] = head;
-  }
-  return tl;
 }
 
 CriticalPath critical_path(const TaskGraph& g, const NodeCostFn& node_cost,
                            const EdgeCostFn& edge_cost) {
   CriticalPath cp;
   std::vector<double> bl;
-  critical_path_into(g, node_cost, edge_cost, bl, cp);
+  critical_path_into(g, topological_order(g), node_cost, edge_cost, bl, cp);
   return cp;
-}
-
-double total_node_cost(const TaskGraph& g, const NodeCostFn& node_cost) {
-  double total = 0.0;
-  for (TaskId t = 0; t < g.num_tasks(); ++t) total += node_cost(t);
-  return total;
 }
 
 }  // namespace rats

@@ -1,18 +1,17 @@
-// Graph algorithms on application DAGs: topological order, levels,
-// top/bottom levels and the critical path.
+// Graph algorithms on application DAGs: levels, bottom levels and the
+// critical path.
 //
 // Node and edge weights are supplied by callables so the same routines
 // serve the allocation step (weights depend on the current allocation)
 // and the mapping step (static priorities).
 //
-// The schedulers re-evaluate these under changing weights hundreds of
-// times per schedule build, so the structural invariants are memoized:
-// the topological order comes from `TaskGraph::topo_order()` (computed
-// once per graph, shared across all algorithms evaluating it), and the
-// `*_into` function templates inline the cost callables and fill
-// caller-owned scratch — a critical-path recomputation allocates
-// nothing and re-derives nothing structural.  The `std::function`
-// overloads remain as convenience wrappers.
+// The allocation loop recomputes the critical path once per processor
+// it hands out, so the `*_into` function templates take the caller's
+// topological order (computed once per scheduling step by
+// `topological_order` in dag/task_graph.hpp), inline the cost
+// callables and fill caller-owned scratch: a recomputation allocates
+// nothing.  The `std::function` overloads are convenience wrappers
+// that compute their own order.
 #pragma once
 
 #include <algorithm>
@@ -30,11 +29,6 @@ using NodeCostFn = std::function<double(TaskId)>;
 /// Time cost of traversing an edge (estimated redistribution time).
 using EdgeCostFn = std::function<double(EdgeId)>;
 
-/// A topological order of all task ids (deterministic: ties broken by
-/// ascending id).  Throws if the graph is cyclic.  Returns a copy of
-/// the graph's cached order; hot paths use `g.topo_order()` directly.
-std::vector<TaskId> topological_order(const TaskGraph& g);
-
 /// Structural level of every task: entries are level 0, otherwise
 /// 1 + max(level of predecessors) — the longest-path depth.
 std::vector<std::int32_t> task_levels(const TaskGraph& g);
@@ -45,11 +39,12 @@ std::vector<std::vector<TaskId>> tasks_by_level(const TaskGraph& g);
 /// Fills `bl` with the bottom level of every task: node_cost(t) plus
 /// the maximum over successors s of edge_cost(t->s) + bottom_level(s).
 /// This is each task's distance to the end of the application, the
-/// list-scheduling priority used by CPA/HCPA/RATS.
+/// list-scheduling priority used by CPA/HCPA/RATS.  `order` is
+/// `topological_order(g)`.
 template <typename NodeF, typename EdgeF>
-void bottom_levels_into(const TaskGraph& g, NodeF&& node_cost,
-                        EdgeF&& edge_cost, std::vector<double>& bl) {
-  const std::vector<TaskId>& order = g.topo_order();
+void bottom_levels_into(const TaskGraph& g, const std::vector<TaskId>& order,
+                        NodeF&& node_cost, EdgeF&& edge_cost,
+                        std::vector<double>& bl) {
   bl.assign(static_cast<std::size_t>(g.num_tasks()), 0.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const TaskId t = *it;
@@ -66,86 +61,21 @@ void bottom_levels_into(const TaskGraph& g, NodeF&& node_cost,
 std::vector<double> bottom_levels(const TaskGraph& g, const NodeCostFn& node_cost,
                                   const EdgeCostFn& edge_cost);
 
-/// Scratch for incremental bottom-level maintenance (see
-/// bottom_levels_update).  Reusable across calls on the same graph;
-/// resizing the graph invalidates it (the update re-derives it then).
-struct BottomLevelDelta {
-  std::vector<std::size_t> pos;      ///< topo position per task
-  std::vector<std::uint32_t> mark;   ///< epoch stamp: bl moved this round
-  std::uint32_t epoch = 0;
-};
-
-/// Incremental form of bottom_levels_into after exactly one task's
-/// node cost changed (edge costs unchanged): walks the reverse
-/// topological order from `changed` towards the entries and recomputes
-/// a task only when its own cost changed or some successor's bottom
-/// level moved.  The recomputation is the same expression over the
-/// same successor order as the full pass, and untouched tasks keep
-/// their previous values, so the result is bitwise identical to
-/// recomputing from scratch — the CPA allocation loop (one +1
-/// allocation per iteration) leans on exactly that.
-template <typename NodeF, typename EdgeF>
-void bottom_levels_update(const TaskGraph& g, NodeF&& node_cost,
-                          EdgeF&& edge_cost, std::vector<double>& bl,
-                          TaskId changed, BottomLevelDelta& scratch) {
-  const std::vector<TaskId>& order = g.topo_order();
-  const auto n = static_cast<std::size_t>(g.num_tasks());
-  RATS_REQUIRE(bl.size() == n, "bottom levels not initialized");
-  if (scratch.pos.size() != n) {
-    scratch.pos.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i)
-      scratch.pos[static_cast<std::size_t>(order[i])] = i;
-    scratch.mark.assign(n, 0);
-    scratch.epoch = 0;
-  }
-  const std::uint32_t epoch = ++scratch.epoch;
-  for (std::size_t i = scratch.pos[static_cast<std::size_t>(changed)] + 1;
-       i-- > 0;) {
-    const TaskId t = order[i];
-    if (t != changed) {
-      bool affected = false;
-      for (EdgeId e : g.out_edges(t)) {
-        if (scratch.mark[static_cast<std::size_t>(g.edge(e).dst)] == epoch) {
-          affected = true;
-          break;
-        }
-      }
-      if (!affected) continue;
-    }
-    // Mirror bottom_levels_into's accumulation exactly (same edge
-    // order, same max/add sequence) so recomputed values match bitwise.
-    double tail = 0.0;
-    for (EdgeId e : g.out_edges(t)) {
-      const TaskId dst = g.edge(e).dst;
-      tail = std::max(tail, edge_cost(e) + bl[static_cast<std::size_t>(dst)]);
-    }
-    const double value = node_cost(t) + tail;
-    if (value != bl[static_cast<std::size_t>(t)]) {
-      bl[static_cast<std::size_t>(t)] = value;
-      scratch.mark[static_cast<std::size_t>(t)] = epoch;
-    }
-  }
-}
-
-/// Top level: longest weighted path from any entry to just before t.
-std::vector<double> top_levels(const TaskGraph& g, const NodeCostFn& node_cost,
-                               const EdgeCostFn& edge_cost);
-
 /// Result of a critical path computation.
 struct CriticalPath {
   double length{};            ///< C-infinity: weight of the heaviest path
   std::vector<TaskId> tasks;  ///< tasks on that path, entry to exit
 };
 
-/// The critical path read off already-computed bottom levels `bl`
-/// (ties broken deterministically by task id); `cp` is overwritten.
-/// Split out so the allocation loop can maintain `bl` incrementally
-/// (bottom_levels_update) and still extract the path each iteration.
+/// The critical path under the given weights (ties broken
+/// deterministically by task id).  `order` is `topological_order(g)`,
+/// `bl` is scratch for the bottom levels and `cp` is overwritten.
+/// Reuses every buffer, so repeated calls allocate nothing.
 template <typename NodeF, typename EdgeF>
-void critical_path_from_levels(const TaskGraph& g, NodeF&& node_cost,
-                               EdgeF&& edge_cost,
-                               const std::vector<double>& bl,
-                               CriticalPath& cp) {
+void critical_path_into(const TaskGraph& g, const std::vector<TaskId>& order,
+                        NodeF&& node_cost, EdgeF&& edge_cost,
+                        std::vector<double>& bl, CriticalPath& cp) {
+  bottom_levels_into(g, order, node_cost, edge_cost, bl);
   cp.tasks.clear();
 
   // Start from the entry with the largest bottom level (ties: lowest
@@ -181,22 +111,8 @@ void critical_path_from_levels(const TaskGraph& g, NodeF&& node_cost,
   }
 }
 
-/// The critical path under the given weights.  `bl` is scratch for the
-/// bottom levels; `cp` is overwritten.  Reuses every buffer, so
-/// repeated calls allocate nothing.
-template <typename NodeF, typename EdgeF>
-void critical_path_into(const TaskGraph& g, NodeF&& node_cost,
-                        EdgeF&& edge_cost, std::vector<double>& bl,
-                        CriticalPath& cp) {
-  bottom_levels_into(g, node_cost, edge_cost, bl);
-  critical_path_from_levels(g, node_cost, edge_cost, bl, cp);
-}
-
 /// The critical path as a fresh result (convenience wrapper).
 CriticalPath critical_path(const TaskGraph& g, const NodeCostFn& node_cost,
                            const EdgeCostFn& edge_cost);
-
-/// Sum over all tasks of node_cost(t) (used for the average-area bound).
-double total_node_cost(const TaskGraph& g, const NodeCostFn& node_cost);
 
 }  // namespace rats

@@ -7,6 +7,43 @@
 
 namespace rats {
 
+namespace {
+
+/// Kahn's algorithm with a min-heap frontier: among ready tasks the
+/// smallest id pops first, which makes the order canonical.  Tasks on
+/// or behind a cycle never become ready, so a cyclic graph yields
+/// fewer than num_tasks() ids.
+std::vector<TaskId> ready_order(const TaskGraph& g) {
+  std::vector<std::int32_t> indegree(static_cast<std::size_t>(g.num_tasks()));
+  std::vector<TaskId> heap;
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    indegree[static_cast<std::size_t>(t)] =
+        static_cast<std::int32_t>(g.in_edges(t).size());
+    if (indegree[static_cast<std::size_t>(t)] == 0) heap.push_back(t);
+  }
+  const auto cmp = [](TaskId a, TaskId b) { return a > b; };
+  std::make_heap(heap.begin(), heap.end(), cmp);
+
+  std::vector<TaskId> order;
+  order.reserve(indegree.size());
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), cmp);
+    const TaskId t = heap.back();
+    heap.pop_back();
+    order.push_back(t);
+    for (EdgeId e : g.out_edges(t)) {
+      const TaskId dst = g.edge(e).dst;
+      if (--indegree[static_cast<std::size_t>(dst)] == 0) {
+        heap.push_back(dst);
+        std::push_heap(heap.begin(), heap.end(), cmp);
+      }
+    }
+  }
+  return order;
+}
+
+}  // namespace
+
 TaskId TaskGraph::add_task(Task task) {
   RATS_REQUIRE(task.data_elems >= 0, "dataset size must be non-negative");
   RATS_REQUIRE(task.flops >= 0, "flops must be non-negative");
@@ -15,13 +52,7 @@ TaskId TaskGraph::add_task(Task task) {
   tasks_.push_back(std::move(task));
   in_.emplace_back();
   out_.emplace_back();
-  invalidate_topo_cache();
   return num_tasks() - 1;
-}
-
-void TaskGraph::invalidate_topo_cache() {
-  if (topo_cache_ && topo_cache_->computed.load(std::memory_order_acquire))
-    topo_cache_ = std::make_shared<TopoCache>();
 }
 
 TaskId TaskGraph::add_task(std::string name, double m, double a, double alpha) {
@@ -37,48 +68,7 @@ EdgeId TaskGraph::add_edge(TaskId src, TaskId dst, Bytes bytes) {
   edges_.push_back(Edge{src, dst, bytes});
   out_[static_cast<std::size_t>(src)].push_back(id);
   in_[static_cast<std::size_t>(dst)].push_back(id);
-  invalidate_topo_cache();
   return id;
-}
-
-const std::vector<TaskId>& TaskGraph::topo_order() const {
-  if (!topo_cache_) topo_cache_ = std::make_shared<TopoCache>();  // moved-from
-  TopoCache& cache = *topo_cache_;
-  std::call_once(cache.once, [&] {
-    validate();
-    const auto n = static_cast<std::size_t>(num_tasks());
-    std::vector<std::int32_t> indegree(n);
-    for (TaskId t = 0; t < num_tasks(); ++t)
-      indegree[static_cast<std::size_t>(t)] =
-          static_cast<std::int32_t>(in_edges(t).size());
-
-    // A sorted frontier gives a canonical order: among ready tasks the
-    // smallest id goes first.  The frontier is kept as a min-heap.
-    std::vector<TaskId> heap;
-    auto cmp = [](TaskId a, TaskId b) { return a > b; };
-    for (TaskId t = 0; t < num_tasks(); ++t)
-      if (indegree[static_cast<std::size_t>(t)] == 0) heap.push_back(t);
-    std::make_heap(heap.begin(), heap.end(), cmp);
-
-    std::vector<TaskId>& order = cache.order;
-    order.reserve(n);
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), cmp);
-      const TaskId t = heap.back();
-      heap.pop_back();
-      order.push_back(t);
-      for (EdgeId e : out_edges(t)) {
-        const TaskId dst = edge(e).dst;
-        if (--indegree[static_cast<std::size_t>(dst)] == 0) {
-          heap.push_back(dst);
-          std::push_heap(heap.begin(), heap.end(), cmp);
-        }
-      }
-    }
-    RATS_REQUIRE(order.size() == n, "cycle detected in topological sort");
-    cache.computed.store(true, std::memory_order_release);
-  });
-  return cache.order;
 }
 
 const Edge& TaskGraph::edge(EdgeId id) const {
@@ -129,29 +119,17 @@ Bytes TaskGraph::input_bytes(TaskId id) const {
 }
 
 bool TaskGraph::is_acyclic() const {
-  // Kahn's algorithm: the graph is acyclic iff all tasks get popped.
-  std::vector<std::int32_t> indegree(tasks_.size());
-  for (std::size_t t = 0; t < tasks_.size(); ++t)
-    indegree[t] = static_cast<std::int32_t>(in_[t].size());
-  std::vector<TaskId> stack;
-  for (TaskId t = 0; t < num_tasks(); ++t)
-    if (indegree[static_cast<std::size_t>(t)] == 0) stack.push_back(t);
-  std::size_t popped = 0;
-  while (!stack.empty()) {
-    const TaskId t = stack.back();
-    stack.pop_back();
-    ++popped;
-    for (EdgeId e : out_edges(t)) {
-      const TaskId dst = edge(e).dst;
-      if (--indegree[static_cast<std::size_t>(dst)] == 0) stack.push_back(dst);
-    }
-  }
-  return popped == tasks_.size();
+  return ready_order(*this).size() == tasks_.size();
 }
 
-void TaskGraph::validate() const {
-  RATS_REQUIRE(num_tasks() > 0, "graph has no tasks");
-  RATS_REQUIRE(is_acyclic(), "graph contains a cycle");
+void TaskGraph::validate() const { topological_order(*this); }
+
+std::vector<TaskId> topological_order(const TaskGraph& g) {
+  RATS_REQUIRE(g.num_tasks() > 0, "graph has no tasks");
+  std::vector<TaskId> order = ready_order(g);
+  RATS_REQUIRE(order.size() == static_cast<std::size_t>(g.num_tasks()),
+               "graph contains a cycle");
+  return order;
 }
 
 std::string TaskGraph::to_dot() const {

@@ -7,10 +7,7 @@
 // non-parallelizable Amdahl fraction `alpha`.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -39,35 +36,13 @@ struct Edge {
   Bytes bytes{};
 };
 
-/// The application DAG.  Tasks and edges are append-only; ids are dense
-/// indices, which lets every per-task quantity live in a flat vector.
+/// The application DAG, a plain value: tasks and edges are
+/// append-only and ids are dense indices, so every per-task quantity
+/// lives in a flat vector.  The graph stores structure only; each
+/// scheduling step derives the order and levels it needs once per call
+/// (see dag/graph_algorithms.hpp).
 class TaskGraph {
  public:
-  TaskGraph() = default;
-  /// Copies share the source's topological-order cache only once it
-  /// has been computed (from then on both sides are append-only or
-  /// fork on mutation); an uncomputed cache is never shared, so a copy
-  /// mutated before the first `topo_order()` cannot inherit the
-  /// original's order.
-  TaskGraph(const TaskGraph& o)
-      : tasks_(o.tasks_),
-        edges_(o.edges_),
-        in_(o.in_),
-        out_(o.out_),
-        topo_cache_(o.shareable_topo_cache()) {}
-  TaskGraph& operator=(const TaskGraph& o) {
-    if (this != &o) {
-      tasks_ = o.tasks_;
-      edges_ = o.edges_;
-      in_ = o.in_;
-      out_ = o.out_;
-      topo_cache_ = o.shareable_topo_cache();
-    }
-    return *this;
-  }
-  TaskGraph(TaskGraph&&) = default;
-  TaskGraph& operator=(TaskGraph&&) = default;
-
   /// Adds a task and returns its id.
   TaskId add_task(Task task);
 
@@ -104,16 +79,6 @@ class TaskGraph {
   /// Total bytes entering `id`.
   Bytes input_bytes(TaskId id) const;
 
-  /// Topological order of all task ids (deterministic: among ready
-  /// tasks the smallest id goes first), computed once and cached;
-  /// adding a task or edge invalidates the cache.  Throws rats::Error
-  /// if the graph is empty or cyclic.  Safe to call concurrently on a
-  /// graph nobody is mutating — the experiment harness evaluates the
-  /// same corpus graph with several algorithms in parallel, and the
-  /// schedulers' per-candidate critical-path recomputations all reuse
-  /// this one order instead of re-deriving it per evaluation.
-  const std::vector<TaskId>& topo_order() const;
-
   /// True iff the graph has no directed cycle.
   bool is_acyclic() const;
 
@@ -130,25 +95,12 @@ class TaskGraph {
   std::vector<Edge> edges_;
   std::vector<std::vector<EdgeId>> in_;
   std::vector<std::vector<EdgeId>> out_;
-
-  /// Lazily computed topological order.  A mutation after a compute
-  /// swaps in a fresh cache object, so copies of a graph share the
-  /// computed order while a copy that is then mutated silently forks
-  /// its own; mutations during construction (cache never computed) are
-  /// free.  `once` makes the first concurrent computation race-free.
-  struct TopoCache {
-    std::once_flag once;
-    std::atomic<bool> computed{false};
-    std::vector<TaskId> order;
-  };
-  void invalidate_topo_cache();
-  std::shared_ptr<TopoCache> shareable_topo_cache() const {
-    return topo_cache_ && topo_cache_->computed.load(std::memory_order_acquire)
-               ? topo_cache_
-               : std::make_shared<TopoCache>();
-  }
-  mutable std::shared_ptr<TopoCache> topo_cache_{
-      std::make_shared<TopoCache>()};
 };
+
+/// The canonical topological order of all task ids: among ready tasks
+/// the smallest id goes first.  Throws rats::Error if the graph is
+/// empty or cyclic.  Each scheduling step calls this once and passes
+/// the order to every bottom-level and critical-path pass it makes.
+std::vector<TaskId> topological_order(const TaskGraph& g);
 
 }  // namespace rats

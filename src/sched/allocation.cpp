@@ -40,7 +40,7 @@ Allocation allocate(const TaskGraph& graph, const Cluster& cluster,
       obs::counter("sched/allocations", obs::Stability::Stable);
   calls.inc();
   obs::PhaseTimer span("schedule/allocate");
-  graph.validate();
+  const std::vector<TaskId> order = topological_order(graph);  // validates
   const AmdahlModel model(cluster.node_speed());
   const int num_procs = cluster.num_nodes();
   Allocation alloc(static_cast<std::size_t>(graph.num_tasks()), 1);
@@ -73,22 +73,13 @@ Allocation allocate(const TaskGraph& graph, const Cluster& cluster,
     return true;
   };
 
-  // Each CPA iteration changes exactly one task's allocation (hence
-  // one node cost), so after the first full bottom-level pass the
-  // levels are maintained incrementally along the grown task's
-  // ancestors (bitwise identical to recomputing — see
-  // bottom_levels_update); only the path walk runs in full.
+  // Each iteration grows one task by one processor, then recomputes the
+  // critical path in full over the one order.  At most N*(P-1)
+  // iterations run: may_grow refuses a task that holds all P processors.
   std::vector<double> bl_scratch;
-  BottomLevelDelta bl_delta;
   CriticalPath cp;
-  TaskId grown = kInvalidTask;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    if (grown == kInvalidTask)
-      bottom_levels_into(graph, node_cost, edge_cost, bl_scratch);
-    else
-      bottom_levels_update(graph, node_cost, edge_cost, bl_scratch, grown,
-                           bl_delta);
-    critical_path_from_levels(graph, node_cost, edge_cost, bl_scratch, cp);
+  while (true) {
+    critical_path_into(graph, order, node_cost, edge_cost, bl_scratch, cp);
     const double area =
         average_area(graph, cluster, model, alloc, options.kind);
     if (cp.length <= area) break;  // C-infinity <= W: optimal trade-off
@@ -111,7 +102,6 @@ Allocation allocate(const TaskGraph& graph, const Cluster& cluster,
     if (best == kInvalidTask) break;  // every critical task is saturated
 
     ++alloc[static_cast<std::size_t>(best)];
-    grown = best;
     if (options.kind == AllocationKind::Mcpa)
       ++level_total[static_cast<std::size_t>(
           level[static_cast<std::size_t>(best)])];

@@ -36,9 +36,6 @@ using Allocation = std::vector<int>;
 /// Options for the allocation step.
 struct AllocationOptions {
   AllocationKind kind = AllocationKind::Hcpa;
-  /// Safety valve for the iteration count; the loop converges long
-  /// before this for the paper's workloads.
-  int max_iterations = 1'000'000;
 };
 
 /// Runs the allocation step for `graph` on `cluster` (one

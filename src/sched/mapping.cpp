@@ -50,10 +50,9 @@ class Mapper {
     sched_ = &sched;
 
     // Static priorities: bottom levels with step-one execution times
-    // and contention-free transfer estimates as edge weights (inlined
-    // callables over the graph's cached topological order).
+    // and contention-free transfer estimates as edge weights.
     bottom_levels_into(
-        g_,
+        g_, topological_order(g_),
         [&](TaskId t) {
           return model_.execution_time(g_.task(t), np_alloc(t));
         },

@@ -108,8 +108,8 @@ TEST(Allocation, HcpaAllocatesNoMoreThanCpaOnLargeCluster) {
   Rng rng(3);
   const TaskGraph g = generate_strassen_dag(rng);
   const Cluster c = grid5000::grelon();
-  AllocationOptions cpa{AllocationKind::Cpa, 1'000'000};
-  AllocationOptions hcpa{AllocationKind::Hcpa, 1'000'000};
+  AllocationOptions cpa{AllocationKind::Cpa};
+  AllocationOptions hcpa{AllocationKind::Hcpa};
   const Allocation a_cpa = allocate(g, c, cpa);
   const Allocation a_hcpa = allocate(g, c, hcpa);
   const auto total = [](const Allocation& a) {
@@ -126,8 +126,8 @@ TEST(Allocation, HcpaEqualsCpaWhenTasksExceedProcessors) {
   p.num_tasks = 25;
   const TaskGraph g = generate_layered_dag(p, rng);
   const Cluster c = small_cluster(8);
-  AllocationOptions cpa{AllocationKind::Cpa, 1'000'000};
-  AllocationOptions hcpa{AllocationKind::Hcpa, 1'000'000};
+  AllocationOptions cpa{AllocationKind::Cpa};
+  AllocationOptions hcpa{AllocationKind::Hcpa};
   EXPECT_EQ(allocate(g, c, cpa), allocate(g, c, hcpa));
 }
 
@@ -192,6 +192,54 @@ TEST(Allocation, EdgeCostEstimateIsLatencyPlusSerialization) {
 TEST(Allocation, RejectsEmptyGraph) {
   TaskGraph g;
   EXPECT_THROW(allocate(g, small_cluster()), Error);
+}
+
+// Pins step one bitwise for all three allocators: per (kind, cluster),
+// the sums of np and of (t+1)*np over every allocation of the 10 FFT
+// and Strassen entries of the seed-42 corpus.  No golden runs CPA or
+// MCPA end to end (every paper kind uses HCPA's step one), so this is
+// their oracle.
+TEST(Allocation, CorpusTotalsArePinnedForEveryKind) {
+  CorpusOptions o;
+  o.seed = 42;
+  o.random_samples = 0;
+  o.kernel_samples = 2;
+  const auto corpus = build_corpus(o);
+  ASSERT_EQ(corpus.size(), 10u);
+  struct Expected {
+    AllocationKind kind;
+    Cluster cluster;
+    std::int64_t procs;
+    std::int64_t weighted;
+  };
+  const std::vector<Expected> expected = {
+      {AllocationKind::Cpa, grid5000::chti(), 4725, 130883},
+      {AllocationKind::Cpa, grid5000::grillon(), 10942, 306614},
+      {AllocationKind::Cpa, grid5000::grelon(), 29508, 860857},
+      {AllocationKind::Hcpa, grid5000::chti(), 4680, 130767},
+      {AllocationKind::Hcpa, grid5000::grillon(), 9132, 285676},
+      {AllocationKind::Hcpa, grid5000::grelon(), 13690, 507539},
+      {AllocationKind::Mcpa, grid5000::chti(), 1132, 20418},
+      {AllocationKind::Mcpa, grid5000::grillon(), 2655, 47866},
+      {AllocationKind::Mcpa, grid5000::grelon(), 6960, 125503},
+  };
+  for (const Expected& x : expected) {
+    AllocationOptions opt;
+    opt.kind = x.kind;
+    std::int64_t procs = 0;
+    std::int64_t weighted = 0;
+    for (const auto& entry : corpus) {
+      const Allocation a = allocate(entry.graph, x.cluster, opt);
+      for (std::size_t t = 0; t < a.size(); ++t) {
+        procs += a[t];
+        weighted += static_cast<std::int64_t>(t + 1) * a[t];
+      }
+    }
+    const std::string where =
+        x.cluster.name() + " kind " + std::to_string(static_cast<int>(x.kind));
+    EXPECT_EQ(procs, x.procs) << where;
+    EXPECT_EQ(weighted, x.weighted) << where;
+  }
 }
 
 // Property: allocation is deterministic and respects bounds across the

@@ -253,5 +253,19 @@ TEST(Json, LoneSurrogatesAreRejected) {
   EXPECT_THROW(json::parse("\"\\uDE00\""), Error);        // unpaired low
 }
 
+TEST(Json, DeepNestingIsRejected) {
+  // One recursion per bracket: a hostile line must fail cleanly, not
+  // overflow the stack.
+  EXPECT_THROW(json::parse(std::string(100000, '[')), Error);
+  EXPECT_THROW(json::parse(std::string(1000000, '[')), Error);
+  EXPECT_THROW(json::parse(std::string(257, '[') + std::string(257, ']')),
+               Error);
+  EXPECT_NO_THROW(
+      json::parse(std::string(256, '[') + std::string(256, ']')));
+  // Report JSON nests 5 levels deep.
+  const json::Value v = json::parse("{\"a\":[{\"b\":[[1]]}]}");
+  EXPECT_EQ(v.get("a")->items[0].get("b")->items[0].items[0].number, 1.0);
+}
+
 }  // namespace
 }  // namespace rats

@@ -4,8 +4,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "daggen/random_dag.hpp"
 #include "dag/graph_algorithms.hpp"
 #include "dag/task_graph.hpp"
 
@@ -182,17 +180,6 @@ TEST(GraphAlgorithms, BottomLevelsOfDiamond) {
   EXPECT_DOUBLE_EQ(bl[0], 1.0 + 20.0 + 42.0);  // via c
 }
 
-TEST(GraphAlgorithms, TopLevelsOfDiamond) {
-  const TaskGraph g = diamond();
-  const auto tl = top_levels(
-      g, [](TaskId) { return 1.0; },
-      [&](EdgeId e) { return g.edge(e).bytes; });
-  EXPECT_DOUBLE_EQ(tl[0], 0.0);
-  EXPECT_DOUBLE_EQ(tl[1], 1.0 + 10.0);
-  EXPECT_DOUBLE_EQ(tl[2], 1.0 + 20.0);
-  EXPECT_DOUBLE_EQ(tl[3], 21.0 + 1.0 + 40.0);  // via c
-}
-
 TEST(GraphAlgorithms, CriticalPathOfDiamond) {
   const TaskGraph g = diamond();
   const auto cp = critical_path(
@@ -219,13 +206,6 @@ TEST(GraphAlgorithms, CriticalPathZeroEdgeCosts) {
   EXPECT_EQ(cp.tasks.size(), 3u);
 }
 
-TEST(GraphAlgorithms, TotalNodeCostSums) {
-  const TaskGraph g = diamond();
-  EXPECT_DOUBLE_EQ(total_node_cost(g, [](TaskId t) {
-    return static_cast<double>(t + 1);
-  }), 10.0);
-}
-
 TEST(GraphAlgorithms, BottomLevelDominatesSuccessors) {
   // Property: bl(t) >= bl(s) for every successor s (positive costs).
   const TaskGraph g = diamond();
@@ -236,64 +216,6 @@ TEST(GraphAlgorithms, BottomLevelDominatesSuccessors) {
     for (TaskId s : g.successors(t))
       EXPECT_GT(bl[static_cast<std::size_t>(t)],
                 bl[static_cast<std::size_t>(s)]);
-}
-
-// ---- incremental bottom levels ----------------------------------------
-
-TEST(IncrementalBottomLevels, MatchesFullRecomputationBitwise) {
-  // Random irregular DAGs, a long sequence of single-task cost bumps
-  // (the CPA allocation pattern): after every bump the incrementally
-  // maintained levels must equal a from-scratch recomputation bit for
-  // bit.
-  Rng rng(1234);
-  for (int instance = 0; instance < 20; ++instance) {
-    RandomDagParams params;
-    params.num_tasks = 30 + 5 * instance;
-    params.width = 0.4;
-    params.density = 0.5;
-    params.regularity = 0.5;
-    params.jump = 2;
-    const TaskGraph g = instance % 2 == 0 ? generate_irregular_dag(params, rng)
-                                          : generate_layered_dag(params, rng);
-    std::vector<double> cost(static_cast<std::size_t>(g.num_tasks()));
-    for (auto& c : cost) c = 1.0 + rng.uniform();
-    const auto node_cost = [&](TaskId t) {
-      return cost[static_cast<std::size_t>(t)];
-    };
-    const auto edge_cost = [&](EdgeId e) {
-      return 1e-3 * static_cast<double>(e % 7);
-    };
-
-    std::vector<double> incremental;
-    bottom_levels_into(g, node_cost, edge_cost, incremental);
-    BottomLevelDelta scratch;
-    std::vector<double> full;
-    for (int step = 0; step < 40; ++step) {
-      const TaskId changed =
-          static_cast<TaskId>(rng.uniform_int(0, g.num_tasks() - 1));
-      cost[static_cast<std::size_t>(changed)] *= 0.9 + 0.2 * rng.uniform();
-      bottom_levels_update(g, node_cost, edge_cost, incremental, changed,
-                           scratch);
-      bottom_levels_into(g, node_cost, edge_cost, full);
-      ASSERT_EQ(full.size(), incremental.size());
-      for (std::size_t i = 0; i < full.size(); ++i)
-        ASSERT_EQ(full[i], incremental[i])
-            << "instance " << instance << " step " << step << " task " << i;
-    }
-  }
-}
-
-TEST(IncrementalBottomLevels, CriticalPathSplitMatchesCombinedForm) {
-  const TaskGraph g = diamond();
-  const auto node_cost = [](TaskId t) { return 1.0 + t; };
-  const auto edge_cost = [](EdgeId) { return 0.25; };
-  std::vector<double> bl;
-  CriticalPath combined;
-  critical_path_into(g, node_cost, edge_cost, bl, combined);
-  CriticalPath split;
-  critical_path_from_levels(g, node_cost, edge_cost, bl, split);
-  EXPECT_EQ(combined.length, split.length);
-  EXPECT_EQ(combined.tasks, split.tasks);
 }
 
 }  // namespace

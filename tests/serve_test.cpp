@@ -426,6 +426,22 @@ TEST(ServeDaemon, ServedReportsAreByteIdenticalToDirectRuns) {
       << "daemon did not shut down cleanly";
 }
 
+TEST(ServeDaemon, DeeplyNestedLineGetsAnErrorAndTheDaemonKeepsServing) {
+  DaemonOptions options;
+  options.socket_path = testing::TempDir() + "serve_nesting.sock";
+  options.workers = 1;
+  const pid_t pid = spawn_daemon(options);
+
+  const json::Value reply =
+      request_json(options.socket_path, std::string(100000, '['));
+  EXPECT_EQ(reply.get_int("ok", -1), 0);
+  EXPECT_NE(reply.get_string("error").find("bad request"), std::string::npos);
+  EXPECT_EQ(request(options.socket_path, "{\"cmd\":\"ping\"}"), "{\"ok\":1}");
+
+  const int status = shutdown_daemon(options.socket_path, pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
 TEST(ServeDaemon, WorkerCrashMidShardStillMergesIdenticalBytes) {
   DaemonOptions options;
   options.socket_path = testing::TempDir() + "serve_crash.sock";
