@@ -1,49 +1,141 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <exception>
 #include <limits>
+#include <list>
+#include <memory>
 #include <mutex>
 
 #include "common/error.hpp"
 #include "exp/parallel.hpp"
+#include "trace/trace.hpp"
 
 namespace rats {
 
 namespace {
 
-/// Step one of a run matrix: one slot per (cluster, entry, allocation
-/// kind), filled by the first run that reads it.  A failed allocation
-/// is stored and rethrown to every run that reads its slot, so each
-/// slot allocates exactly once and no exception crosses call_once
-/// (which hangs the waiting threads on libstdc++ targets whose
-/// pthread_once cannot unwind, GCC bug 66146).
-class StepOneTable {
+/// A value computed once, by the first caller.  A failure is stored and
+/// rethrown to every caller, so no exception crosses call_once (which
+/// hangs the waiting threads on libstdc++ targets whose pthread_once
+/// cannot unwind, GCC bug 66146).
+template <class T>
+class Once {
  public:
-  explicit StepOneTable(std::size_t pairs) : slots_(pairs * kKinds) {}
-
-  const Allocation& get(std::size_t pair, const TaskGraph& graph,
-                        const Cluster& cluster, AllocationKind kind) {
-    Slot& slot = slots_[pair * kKinds + static_cast<std::size_t>(kind)];
-    std::call_once(slot.once, [&] {
+  /// The value; the first call computes it with `fill`.
+  template <class Fill>
+  const T& get(Fill&& fill) {
+    std::call_once(once_, [&] {
       try {
-        slot.allocation = allocate(graph, cluster, AllocationOptions{kind});
+        value_ = fill();
       } catch (...) {
-        slot.failure = std::current_exception();
+        failure_ = std::current_exception();
       }
     });
-    if (slot.failure) std::rethrow_exception(slot.failure);
-    return slot.allocation;
+    if (failure_) std::rethrow_exception(failure_);
+    return value_;
   }
 
  private:
-  static constexpr std::size_t kKinds = 3;  ///< AllocationKind values
-  struct Slot {
-    std::once_flag once;
-    Allocation allocation;
-    std::exception_ptr failure;
+  std::once_flag once_;
+  T value_{};
+  std::exception_ptr failure_;
+};
+
+/// Exact equality on the placement fields simulate() reads (procs,
+/// est_start, seq): two schedules equal here simulate to the same bits.
+bool same_simulation(const Schedule& a, const Schedule& b) {
+  return std::equal(a.placements.begin(), a.placements.end(),
+                    b.placements.begin(), b.placements.end(),
+                    [](const TaskPlacement& x, const TaskPlacement& y) {
+                      return x.seq == y.seq && x.est_start == y.est_start &&
+                             x.procs == y.procs;
+                    });
+}
+
+/// The shared work of a run matrix, one row per (cluster, entry): the
+/// step-one allocation per allocation kind and the simulation per
+/// distinct step-two schedule.  Within a row the graph, cluster and
+/// simulator options are fixed, so each of them is computed once, by
+/// the first run that reads it, and every later run of the row reuses
+/// it.  A row is freed when its last run ends; the pool claims runs in
+/// index order, so only about `threads` rows are live at once.
+class RunTable {
+ public:
+  RunTable(std::size_t rows, std::size_t runs_per_row) : rows_(rows) {
+    for (auto& row : rows_) row = std::make_unique<Row>(runs_per_row);
+  }
+
+  const Allocation& allocation(std::size_t row, const TaskGraph& graph,
+                               const Cluster& cluster, AllocationKind kind) {
+    return rows_[row]->step_one[static_cast<std::size_t>(kind)].get(
+        [&] { return allocate(graph, cluster, AllocationOptions{kind}); });
+  }
+
+  /// The outcome of simulating `schedule`.  A run that repeats an
+  /// earlier schedule of its row gets that simulation's outcome and,
+  /// when traced, appends its recorded events to `sim.trace`.
+  RunOutcome outcome(std::size_t row, const TaskGraph& graph,
+                     const Cluster& cluster, Schedule schedule,
+                     const SimulatorOptions& sim) {
+    Simulation& slot = rows_[row]->find_or_add(std::move(schedule));
+    TraceSink* const sink = sim.trace;
+    bool filled = false;
+    const Simulated& shared = slot.result.get([&] {
+      filled = true;
+      const std::size_t first = sink ? sink->size() : 0;
+      Simulated s;
+      s.outcome = simulate_run(graph, slot.schedule, cluster, sim);
+      if (sink) {
+        s.traced = true;
+        s.events.assign(
+            sink->events().begin() + static_cast<std::ptrdiff_t>(first),
+            sink->events().end());
+      }
+      return s;
+    });
+    if (filled || sink == nullptr) return shared.outcome;
+    RATS_REQUIRE(shared.traced,
+                 "a run matrix must trace all of its runs or none");
+    sink->append(shared.events);
+    return shared.outcome;
+  }
+
+  /// Ends one run of `row`, injected or not; the last one frees the row.
+  void end_run(std::size_t row) {
+    if (--rows_[row]->open_runs == 0) rows_[row].reset();
+  }
+
+ private:
+  struct Simulated {
+    RunOutcome outcome;
+    bool traced = false;             ///< filled by a run with a sink
+    std::vector<TraceEvent> events;  ///< what that sink recorded
   };
-  std::vector<Slot> slots_;
+  struct Simulation {
+    Schedule schedule;
+    Once<Simulated> result;
+  };
+  struct Row {
+    explicit Row(std::size_t runs) : open_runs(runs) {}
+
+    Simulation& find_or_add(Schedule&& schedule) {
+      std::lock_guard<std::mutex> lock(mu);
+      for (Simulation& s : simulations)
+        if (same_simulation(s.schedule, schedule)) return s;
+      Simulation& added = simulations.emplace_back();
+      added.schedule = std::move(schedule);
+      return added;
+    }
+
+    std::array<Once<Allocation>, 3> step_one;  ///< per AllocationKind
+    std::mutex mu;                             ///< guards simulations
+    std::list<Simulation> simulations;
+    std::atomic<std::size_t> open_runs;
+  };
+  std::vector<std::unique_ptr<Row>> rows_;
 };
 
 }  // namespace
@@ -82,27 +174,34 @@ std::vector<ExperimentData> run_experiments(
     data.outcome.assign(corpus.size(), std::vector<RunOutcome>(num_algos));
   }
 
-  StepOneTable step_one(clusters.size() * corpus.size());
+  RunTable table(clusters.size() * corpus.size(), num_algos);
   const std::size_t per_cluster = corpus.size() * num_algos;
   if (session) session->begin_matrix(clusters.size() * per_cluster);
   parallel_for(clusters.size() * per_cluster, [&](std::size_t j) {
     const std::size_t c = j / per_cluster;
     const std::size_t e = (j % per_cluster) / num_algos;
     const std::size_t a = j % num_algos;
+    const std::size_t row = j / num_algos;  // c * corpus.size() + e
     const std::vector<AlgoSpec>& algos = algos_for(c, e);
     RATS_REQUIRE(algos.size() == num_algos,
                  "algorithm list changed size across entries");
     const AlgoSpec& spec = algos[a];
+    const TaskGraph& graph = corpus[e].graph;
     RunOutcome& out = results[c].outcome[e][a];
     const RunMeta meta{corpus[e].name, spec.name, clusters[c].name()};
-    if (session && session->inject(j, meta, out)) return;
+    if (session && session->inject(j, meta, out)) {
+      table.end_run(row);
+      return;
+    }
     SimulatorOptions sim = base_sim ? *base_sim : SimulatorOptions{};
     if (session) sim.trace = session->begin_run(j, meta);
-    const Allocation& allocation =
-        step_one.get(c * corpus.size() + e, corpus[e].graph, clusters[c],
-                     allocation_kind(spec.options.kind));
-    out = run_scenario(corpus[e].graph, clusters[c], allocation,
-                       spec.options, sim);
+    const Allocation& allocation = table.allocation(
+        row, graph, clusters[c], allocation_kind(spec.options.kind));
+    out = table.outcome(
+        row, graph, clusters[c],
+        schedule_run(graph, clusters[c], allocation, spec.options), sim);
+    table.end_run(row);
+    note_simulated_run();
     if (session) session->end_run(j, out);
   }, threads);
   return results;

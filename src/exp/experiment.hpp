@@ -60,14 +60,17 @@ using AlgoSetOf = std::function<const std::vector<AlgoSpec>&(
 /// algorithms in the same order; results are in `clusters` order, each
 /// in corpus order.
 ///
-/// The two steps of a run execute at different grains.  Step one (the
+/// The steps of a run execute at different grains.  Step one (the
 /// allocation) runs once per (cluster, entry, allocation kind), in the
 /// first run that needs it, and every later run of that entry whose
 /// scheduler reads the same kind reuses it (HCPA, both RATS mappings
 /// and every RATS sweep point share HCPA's).  Step two (the mapping)
-/// and the simulation run once per run.  A run the session injects
-/// allocates nothing, so a serve shard only allocates the entries it
-/// simulates.
+/// runs once per run.  The simulation runs once per distinct schedule
+/// of a (cluster, entry): a run whose schedule equals an earlier run's
+/// in every field the simulator reads gets that simulation's outcome,
+/// bit for bit, and a traced run gets a copy of its trace events.  A
+/// run the session injects allocates and simulates nothing, so a serve
+/// shard only computes the entries it runs.
 std::vector<ExperimentData> run_experiments(
     const std::vector<CorpusEntry>& corpus,
     const std::vector<Cluster>& clusters, const AlgoSetOf& algos_for,

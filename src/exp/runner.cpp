@@ -24,22 +24,23 @@ RunOutcome run_scenario(const TaskGraph& graph, const Cluster& cluster,
                         const SimulatorOptions& sim) {
   const Allocation allocation = allocate(
       graph, cluster, AllocationOptions{allocation_kind(scheduler.kind)});
-  return run_scenario(graph, cluster, allocation, scheduler, sim);
+  const RunOutcome outcome = simulate_run(
+      graph, schedule_run(graph, cluster, allocation, scheduler), cluster, sim);
+  note_simulated_run();
+  return outcome;
 }
 
-RunOutcome run_scenario(const TaskGraph& graph, const Cluster& cluster,
-                        const Allocation& allocation,
-                        const SchedulerOptions& scheduler,
-                        const SimulatorOptions& sim) {
-  Schedule schedule = [&] {
-    obs::PhaseTimer span("schedule");
-    return build_schedule(graph, cluster, allocation, scheduler);
-  }();
-  const SimulationResult result = [&] {
-    obs::PhaseTimer span("simulate");
-    return simulate(graph, schedule, cluster, sim);
-  }();
-  note_simulated_run();
+Schedule schedule_run(const TaskGraph& graph, const Cluster& cluster,
+                      const Allocation& allocation,
+                      const SchedulerOptions& scheduler) {
+  obs::PhaseTimer span("schedule");
+  return build_schedule(graph, cluster, allocation, scheduler);
+}
+
+RunOutcome simulate_run(const TaskGraph& graph, const Schedule& schedule,
+                        const Cluster& cluster, const SimulatorOptions& sim) {
+  obs::PhaseTimer span("simulate");
+  const SimulationResult result = simulate(graph, schedule, cluster, sim);
   return RunOutcome{result.makespan, result.total_work, result.faults};
 }
 

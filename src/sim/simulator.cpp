@@ -37,6 +37,7 @@ struct EdgeEvent {
 /// Simulator-level registry counters (registered once per process;
 /// deterministic totals, so CI can pin them).
 struct SimCounters {
+  obs::Counter& simulations = obs::counter("sim/simulations");
   obs::Counter& tasks_executed = obs::counter("sim/tasks_executed");
   obs::Counter& redists_opened = obs::counter("sim/redists_opened");
   obs::Counter& redists_completed = obs::counter("sim/redists_completed");
@@ -52,6 +53,7 @@ SimCounters& sim_counters() {
 SimulationResult simulate(const TaskGraph& graph, const Schedule& schedule,
                           const Cluster& cluster,
                           const SimulatorOptions& options) {
+  sim_counters().simulations.inc();
   schedule.validate(graph, cluster);
   const AmdahlModel model(cluster.node_speed());
   FluidNetwork net(cluster);

@@ -73,6 +73,11 @@ class TraceSink {
               std::int32_t b = -1, double value = 0) {
     events_.push_back(TraceEvent{time, kind, a, b, value});
   }
+  /// Appends events another sink recorded — how a run matrix hands one
+  /// simulation's events to every run that repeats its schedule.
+  void append(const std::vector<TraceEvent>& events) {
+    events_.insert(events_.end(), events.begin(), events.end());
+  }
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   void clear() { events_.clear(); }

@@ -1,4 +1,4 @@
-// Unit tests for the common substrate: RNG, statistics, tables.
+// Unit tests for the common substrate: RNG, tables, JSON.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 
@@ -52,9 +51,10 @@ TEST(Rng, UniformRangeRespectsBounds) {
 
 TEST(Rng, UniformMeanIsCentered) {
   Rng rng(99);
-  Accumulator acc;
-  for (int i = 0; i < 100000; ++i) acc.add(rng.uniform());
-  EXPECT_NEAR(acc.mean(), 0.5, 0.01);
+  const int draws = 100000;
+  double sum = 0;
+  for (int i = 0; i < draws; ++i) sum += rng.uniform();
+  EXPECT_NEAR(sum / draws, 0.5, 0.01);
 }
 
 TEST(Rng, UniformIntCoversInclusiveRange) {
@@ -111,64 +111,6 @@ TEST(Rng, SplitDoesNotAdvanceParent) {
   Rng b(42);
   (void)a.split(3);
   EXPECT_EQ(a(), b());
-}
-
-// ------------------------------------------------------------- stats
-
-TEST(Accumulator, EmptyIsZero) {
-  Accumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_EQ(acc.mean(), 0.0);
-  EXPECT_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, SingleValue) {
-  Accumulator acc;
-  acc.add(3.5);
-  EXPECT_EQ(acc.count(), 1u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(acc.min(), 3.5);
-  EXPECT_DOUBLE_EQ(acc.max(), 3.5);
-  EXPECT_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, KnownMoments) {
-  Accumulator acc;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(x);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_NEAR(acc.variance(), 32.0 / 7.0, 1e-12);  // unbiased
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
-}
-
-TEST(Percentile, MedianOfOddSample) {
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 0.5), 2.0);
-}
-
-TEST(Percentile, InterpolatesBetweenOrderStatistics) {
-  EXPECT_DOUBLE_EQ(percentile({0.0, 10.0}, 0.25), 2.5);
-}
-
-TEST(Percentile, Extremes) {
-  const std::vector<double> xs = {5.0, -1.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), -1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 5.0);
-}
-
-TEST(Percentile, RejectsEmptyAndBadQuantile) {
-  EXPECT_THROW(percentile({}, 0.5), Error);
-  EXPECT_THROW(percentile({1.0}, 1.5), Error);
-}
-
-TEST(Stats, MeanOfVector) {
-  EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(mean({}), 0.0);
-}
-
-TEST(Stats, GeometricMean) {
-  EXPECT_NEAR(geometric_mean({1.0, 4.0}), 2.0, 1e-12);
-  EXPECT_THROW(geometric_mean({1.0, -1.0}), Error);
 }
 
 // ------------------------------------------------------------- table

@@ -1,8 +1,9 @@
 // Unit tests for the experiment harness: parallel execution, the run
-// matrix's shared step one, relative series, pairwise comparison and
-// degradation-from-best aggregations.
+// matrix's shared step one and shared simulations, relative series,
+// pairwise comparison and degradation-from-best aggregations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <functional>
@@ -15,6 +16,10 @@
 #include "exp/tuning.hpp"
 #include "obs/registry.hpp"
 #include "platform/grid5000.hpp"
+#include "platform/timeline.hpp"
+#include "scenario/parser.hpp"
+#include "scenario/registry.hpp"
+#include "trace/replay.hpp"
 
 namespace rats {
 namespace {
@@ -210,7 +215,7 @@ TEST(Tuning, ParameterListsMatchPaper) {
             (std::vector<double>{0.2, 0.4, 0.5, 0.6, 0.8, 1.0}));
 }
 
-// ------------------------------------------------ run matrix step one
+// --------------------------------------- run matrix shared step one
 
 /// Turns metrics on for the scope: the allocation counter is gated on
 /// them.
@@ -330,6 +335,142 @@ TEST(RunMatrix, AllocationFailureRethrowsAndPoolStaysUsable) {
     EXPECT_THROW(run_experiment(corpus, cluster, algos, 4), Error);
   corpus.erase(corpus.begin() + 1);
   EXPECT_EQ(run_experiment(corpus, cluster, algos, 4).entries(), 3u);
+}
+
+// ------------------------------------- run matrix shared simulations
+
+std::uint64_t simulations() {
+  return obs::counter("sim/simulations").value();
+}
+
+/// The FFT corpus of fig4 at one kernel sample: 4 entries.
+std::vector<CorpusEntry> fft_corpus() {
+  presets::CorpusConfig cfg;
+  cfg.samples_kernel = 1;
+  return presets::make_family(DagFamily::FFT, cfg);
+}
+
+/// fig4's run matrix per entry: HCPA, then the 20-point delta grid.
+std::vector<AlgoSpec> fig4_algos() {
+  std::vector<AlgoSpec> algos{{"HCPA", SchedulerOptions{}}};
+  for (double mindelta : tuning_mindeltas())
+    for (double maxdelta : tuning_maxdeltas()) {
+      SchedulerOptions options;
+      options.kind = SchedulerKind::RatsDelta;
+      options.rats.mindelta = mindelta;
+      options.rats.maxdelta = maxdelta;
+      algos.push_back({"delta", options});
+    }
+  return algos;
+}
+
+/// Schedules every run and counts, per entry, the schedules that differ
+/// in a field the simulator reads.
+std::size_t distinct_schedules(const std::vector<CorpusEntry>& corpus,
+                               const Cluster& cluster,
+                               const std::vector<AlgoSpec>& algos) {
+  const auto same = [](const Schedule& a, const Schedule& b) {
+    if (a.placements.size() != b.placements.size()) return false;
+    for (std::size_t t = 0; t < a.placements.size(); ++t) {
+      const TaskPlacement& x = a.placements[t];
+      const TaskPlacement& y = b.placements[t];
+      if (x.procs != y.procs || x.est_start != y.est_start || x.seq != y.seq)
+        return false;
+    }
+    return true;
+  };
+  std::size_t distinct = 0;
+  for (const CorpusEntry& entry : corpus) {
+    std::vector<Schedule> seen;
+    for (const AlgoSpec& algo : algos) {
+      Schedule s = build_schedule(entry.graph, cluster, algo.options);
+      if (std::none_of(seen.begin(), seen.end(),
+                       [&](const Schedule& o) { return same(o, s); }))
+        seen.push_back(std::move(s));
+    }
+    distinct += seen.size();
+  }
+  return distinct;
+}
+
+bool same_outcome(const RunOutcome& a, const RunOutcome& b) {
+  return same_bits(a.makespan, b.makespan) && same_bits(a.work, b.work) &&
+         a.faults.tasks_killed == b.faults.tasks_killed &&
+         a.faults.tasks_remapped == b.faults.tasks_remapped &&
+         a.faults.redists_aborted == b.faults.redists_aborted &&
+         same_bits(a.faults.capacity_seconds_lost,
+                   b.faults.capacity_seconds_lost) &&
+         same_bits(a.faults.node_seconds_down, b.faults.node_seconds_down);
+}
+
+TEST(RunMatrix, SharedSimulationsMatchStandaloneRunsBitwise) {
+  MetricsOn metrics;
+  const auto corpus = fft_corpus();
+  ASSERT_EQ(corpus.size(), 4u);
+  const Cluster cluster = grid5000::grillon();
+  const auto algos = fig4_algos();
+  const std::size_t distinct = distinct_schedules(corpus, cluster, algos);
+  ASSERT_LT(distinct, corpus.size() * algos.size()) << "nothing to share";
+
+  std::vector<std::vector<RunOutcome>> alone(corpus.size());
+  for (std::size_t e = 0; e < corpus.size(); ++e)
+    for (const AlgoSpec& algo : algos)
+      alone[e].push_back(run_scenario(corpus[e].graph, cluster, algo.options));
+
+  for (unsigned threads : {1u, 4u}) {
+    const std::uint64_t before = simulations();
+    const auto data = run_experiment(corpus, cluster, algos, threads);
+    EXPECT_EQ(simulations() - before, distinct) << threads;
+    for (std::size_t e = 0; e < corpus.size(); ++e)
+      for (std::size_t a = 0; a < algos.size(); ++a)
+        EXPECT_TRUE(same_outcome(data.outcome[e][a], alone[e][a]))
+            << corpus[e].name << " / run " << a << " at " << threads
+            << " threads";
+  }
+}
+
+TEST(RunMatrix, TracedSharedRunsKeepTraceBytes) {
+  MetricsOn metrics;
+  // fig4 on the FFT corpus above: 4 entries x 21 runs.
+  const scenario::ScenarioSpec spec = scenario::parse_scenario_string(
+      "[scenario]\nname = \"fig4-k1\"\nkind = \"fig4\"\n"
+      "[platform]\ncluster = \"grillon\"\n"
+      "[workload]\nsource = \"family\"\nfamily = \"fft\"\n"
+      "samples-kernel = 1\n",
+      "<fig4-k1>");
+  std::uint64_t before = simulations();
+  (void)scenario::build_report(spec);
+  const std::uint64_t untraced = simulations() - before;
+  EXPECT_LT(untraced, 84u);
+
+  before = simulations();
+  const std::string one = scenario::render_trace(spec, 1);
+  EXPECT_EQ(simulations() - before, untraced);
+  before = simulations();
+  const std::string four = scenario::render_trace(spec, 4);
+  EXPECT_EQ(simulations() - before, untraced);
+
+  EXPECT_EQ(one, four);
+  const ReplayReport replay = verify_trace_text(four, "<fig4-k1>", 4);
+  EXPECT_TRUE(replay.ok) << replay.error;
+  EXPECT_EQ(replay.runs, 84u);
+}
+
+TEST(RunMatrix, SimulationFailureRethrowsToEveryRepeat) {
+  const auto corpus = fft_corpus();
+  const Cluster cluster = grid5000::grillon();
+  const auto algos = fig4_algos();
+  // A node id past the cluster: simulate() rejects the timeline, so
+  // every shared simulation stores its failure for the repeats.
+  PlatformTimeline broken;
+  broken.events.push_back(
+      PlatformEvent{0.0, PlatformEventKind::NodeFail, cluster.num_nodes()});
+  SimulatorOptions sim;
+  sim.timeline = &broken;
+  for (int call = 0; call < 2; ++call)
+    EXPECT_THROW(run_experiment(corpus, cluster, algos, 4, nullptr, &sim),
+                 Error);
+  EXPECT_EQ(run_experiment(corpus, cluster, algos, 4).entries(), 4u);
 }
 
 }  // namespace
