@@ -13,10 +13,11 @@
 //  * the RATS_METRICS environment variable enables it at startup.
 //
 // Counter *values* are run-to-run deterministic (the work they count
-// is), with one exception class: counters whose value depends on which
-// worker thread claimed which job — the per-thread redistribution-plan
-// cache hit/miss tallies — are registered `Stability::Volatile` and
-// exported separately, so CI can pin the stable section byte-for-byte.
+// is), with one exception class: instruments whose value is not a
+// function of the run's inputs alone — the serve daemon's job gauges,
+// the fuzz battery's failure tallies — are registered
+// `Stability::Volatile` and exported separately, so CI can pin the
+// stable section byte-for-byte.
 // Timers are always volatile (they measure wall time).
 //
 // Handles returned by `counter()` / `gauge()` / `timer()` /

@@ -125,24 +125,13 @@ std::vector<LinkId> Cluster::route(NodeId src, NodeId dst) const {
 
 void Cluster::route_into(NodeId src, NodeId dst,
                          std::vector<LinkId>& out) const {
-  check_node(src);
-  check_node(dst);
-  if (src == dst) return;
-  out.push_back(nic_up(src));
-  if (hierarchical_topology()) {
-    const int cs = cabinet_of(src);
-    const int cd = cabinet_of(dst);
-    if (cs != cd) {
-      out.push_back(cabinet_up(cs));
-      out.push_back(cabinet_down(cd));
-    }
-  }
-  out.push_back(nic_down(dst));
+  for_each_route_link(src, dst, [&out](LinkId id) { out.push_back(id); });
 }
 
 Seconds Cluster::route_latency(NodeId src, NodeId dst) const {
   Seconds total = 0;
-  for (LinkId id : route(src, dst)) total += link(id).latency;
+  for_each_route_link(src, dst,
+                      [&](LinkId id) { total += link(id).latency; });
   return total;
 }
 

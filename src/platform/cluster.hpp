@@ -84,7 +84,27 @@ class Cluster {
   /// temporary — the fluid network stores routes in one flat arena.
   void route_into(NodeId src, NodeId dst, std::vector<LinkId>& out) const;
 
-  /// One-way latency of the route (sum of link latencies).
+  /// Calls `f(link)` for each link id of the route, in route order,
+  /// without materializing the route.
+  template <typename F>
+  void for_each_route_link(NodeId src, NodeId dst, F&& f) const {
+    check_node(src);
+    check_node(dst);
+    if (src == dst) return;
+    f(nic_up(src));
+    if (hierarchical_topology()) {
+      const int cs = cabinet_of(src);
+      const int cd = cabinet_of(dst);
+      if (cs != cd) {
+        f(cabinet_up(cs));
+        f(cabinet_down(cd));
+      }
+    }
+    f(nic_down(dst));
+  }
+
+  /// One-way latency of the route (sum of link latencies in route
+  /// order).
   Seconds route_latency(NodeId src, NodeId dst) const;
 
   /// Maximal TCP window size used for the empirical bandwidth bound

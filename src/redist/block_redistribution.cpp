@@ -1,11 +1,10 @@
 #include "redist/block_redistribution.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
+#include <cstdint>
+#include <utility>
 
 #include "common/error.hpp"
-#include "obs/registry.hpp"
 
 namespace rats {
 
@@ -21,6 +20,22 @@ Bytes block_overlap(Bytes total, int p, int i, int q, int j) {
 
 namespace {
 
+/// The receiver ranks [first, last] whose intervals meet sender rank
+/// `i`'s, in exact integer arithmetic: rank i of p covers [i*q, (i+1)*q)
+/// in units of total/(p*q), receiver rank j covers [j*p, (j+1)*p), so
+/// they meet iff ceil(i*q/p) - 1 <= j <= floor((i+1)*q/p).  Every other
+/// pair lies at least one unit apart, far beyond rounding error, so
+/// `block_overlap` is 0 there; the walk keeps the zero-width boundary
+/// pairs because rounding can give them a positive overlap.  At most
+/// q + 2p pairs in all, against the p x q of a full scan.
+std::pair<int, int> receiver_range(int p, int i, int q) {
+  const std::int64_t iq = static_cast<std::int64_t>(i) * q;
+  const std::int64_t first = (iq + p - 1) / p - 1;
+  const std::int64_t last = (iq + q) / p;
+  return {static_cast<int>(std::max<std::int64_t>(first, 0)),
+          static_cast<int>(std::min<std::int64_t>(last, q - 1))};
+}
+
 /// Sorted flat map lookup; returns nullptr when `node` is absent.
 template <typename Pair>
 Pair* flat_find(std::vector<Pair>& entries, NodeId node) {
@@ -31,13 +46,12 @@ Pair* flat_find(std::vector<Pair>& entries, NodeId node) {
   return &*it;
 }
 
-/// Sorts a flat (node, value) map by node and keeps each node's FIRST
-/// inserted value (std::map::emplace semantics the original code had).
+/// Sorts a flat (node, value) map by node and keeps each node's
+/// smallest value, which is its first inserted one: both maps below are
+/// filled in ascending value order (std::map::emplace semantics).
 template <typename Pair>
 void sort_unique_by_node(std::vector<Pair>& entries) {
-  std::stable_sort(
-      entries.begin(), entries.end(),
-      [](const Pair& a, const Pair& b) { return a.first < b.first; });
+  std::sort(entries.begin(), entries.end());
   entries.erase(std::unique(entries.begin(), entries.end(),
                             [](const Pair& a, const Pair& b) {
                               return a.first == b.first;
@@ -80,7 +94,8 @@ void Redistribution::plan_into(Bytes total_bytes,
     for (NodeId node : receivers) {
       const auto* hit = flat_find(sender_rank, node);
       if (!hit) continue;
-      for (int j = 0; j < q; ++j) {
+      const auto [first, last] = receiver_range(p, hit->second, q);
+      for (int j = first; j <= last; ++j) {
         const Bytes ov = block_overlap(total_bytes, p, hit->second, q, j);
         if (ov > 0) cands.push_back(PlanScratch::Cand{ov, node, j});
       }
@@ -119,7 +134,8 @@ void Redistribution::plan_into(Bytes total_bytes,
   }
 
   for (int i = 0; i < p; ++i) {
-    for (int j = 0; j < q; ++j) {
+    const auto [first, last] = receiver_range(p, i, q);
+    for (int j = first; j <= last; ++j) {
       const Bytes ov = block_overlap(total_bytes, p, i, q, j);
       if (ov <= 0) continue;
       const NodeId src = out.sender_order_[static_cast<std::size_t>(i)];
@@ -154,186 +170,6 @@ std::vector<std::vector<Bytes>> Redistribution::matrix() const {
       m[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
           block_overlap(total_, p, i, q, j);
   return m;
-}
-
-// ---- RedistPlanner -----------------------------------------------------
-
-namespace {
-
-/// Process-wide planner statistics, registry-backed (obs::).  Counters
-/// are bumped live on every lookup (relaxed atomics, gated on
-/// obs::metrics_enabled()) rather than folded in planner destructors:
-/// the persistent worker pool's threads — and their thread-local
-/// simulator planners — outlive any snapshot, so destructor folding
-/// silently dropped every pool worker's lookups.
-///
-/// The counters are registered Volatile: the per-thread LRU caches
-/// mean a lookup's hit/miss depends on which worker ran the prior
-/// runs, so the split is thread-scheduling-dependent.
-struct PlannerStats {
-  obs::Counter& hits = obs::counter("redist/plan/hits", obs::Stability::Volatile);
-  obs::Counter& misses =
-      obs::counter("redist/plan/misses", obs::Stability::Volatile);
-  obs::Counter& sim_hits =
-      obs::counter("redist/plan/sim_hits", obs::Stability::Volatile);
-  obs::Counter& sim_misses =
-      obs::counter("redist/plan/sim_misses", obs::Stability::Volatile);
-  void bump(bool sim_side, bool hit) {
-    auto& counter = sim_side ? (hit ? sim_hits : sim_misses)
-                             : (hit ? hits : misses);
-    counter.inc();
-  }
-};
-PlannerStats& planner_stats() {
-  static PlannerStats stats;
-  return stats;
-}
-
-}  // namespace
-
-std::size_t RedistPlanner::KeyHash::operator()(const Key& k) const {
-  // FNV-1a over the flag, volume key and node lists.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(k.maximize_self ? 1 : 0);
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(k.volume_key));
-  std::memcpy(&bits, &k.volume_key, sizeof(bits));
-  mix(bits);
-  mix(k.senders.size());
-  for (NodeId n : k.senders) mix(static_cast<std::uint64_t>(n));
-  mix(k.receivers.size());
-  for (NodeId n : k.receivers) mix(static_cast<std::uint64_t>(n));
-  return static_cast<std::size_t>(h);
-}
-
-const Redistribution& RedistPlanner::plan(Bytes total_bytes,
-                                          const std::vector<NodeId>& senders,
-                                          const std::vector<NodeId>& receivers,
-                                          bool maximize_self) {
-  // Validate before touching the cache: the hit/rescale paths never
-  // reach plan_into's checks, and a throw after the miss-path emplace
-  // would leave a half-initialized entry behind to be served later.
-  RATS_REQUIRE(total_bytes >= 0, "volume must be non-negative");
-  RATS_REQUIRE(!senders.empty() && !receivers.empty(),
-               "redistribution needs sender and receiver ranks");
-  // Volume-independent plan structure (see the class comment):
-  //  * no matching at all (!maximize_self), or
-  //  * p == q — every shared node's single positive-overlap candidate
-  //    is its own rank, so the matching is conflict-free and its
-  //    rounding-sensitive tie order cannot change the outcome, or
-  //  * disjoint node sets — no candidates, permutation is the input
-  //    order.
-  // Everything else keys on the raw volume; volume 0 (empty plan,
-  // unpermuted order even where a matched volume would permute) gets
-  // its own sentinel class.
-  bool scale_safe = !maximize_self || senders.size() == receivers.size();
-  if (!scale_safe) {
-    NodeId max_node = -1;
-    for (const NodeId n : senders) max_node = std::max(max_node, n);
-    for (const NodeId n : receivers) max_node = std::max(max_node, n);
-    if (node_stamp_.size() <= static_cast<std::size_t>(max_node))
-      node_stamp_.resize(static_cast<std::size_t>(max_node) + 1, 0);
-    ++stamp_;
-    for (const NodeId n : senders)
-      node_stamp_[static_cast<std::size_t>(n)] = stamp_;
-    scale_safe = true;
-    for (const NodeId n : receivers)
-      if (node_stamp_[static_cast<std::size_t>(n)] == stamp_) {
-        scale_safe = false;
-        break;
-      }
-  }
-  probe_.maximize_self = maximize_self;
-  probe_.volume_key =
-      total_bytes == 0 ? -1.0 : (scale_safe ? 0.0 : total_bytes);
-  probe_.senders = senders;      // reuses probe_'s capacity
-  probe_.receivers = receivers;
-  ++tick_;
-  const auto hit = cache_.find(probe_);
-  if (obs::metrics_enabled())
-    planner_stats().bump(sim_side_, hit != cache_.end());
-  if (hit != cache_.end()) {
-    ++hits_;
-    CacheEntry& entry = hit->second;
-    entry.last_used = tick_;
-    if (entry.volume == total_bytes) return entry.plan;
-    // Same geometry, different volume (scale-safe entries only): the
-    // permutation carries over and each candidate pair's byte count is
-    // re-derived with the exact `block_overlap` expression — and the
-    // same positivity test — a fresh plan would evaluate.
-    scaled_.sender_order_ = entry.plan.sender_order_;
-    scaled_.receiver_order_ = entry.plan.receiver_order_;
-    scaled_.total_ = total_bytes;
-    scaled_.self_bytes_ = 0;
-    scaled_.remote_bytes_ = 0;
-    scaled_.transfers_.clear();
-    const int p = entry.plan.senders();
-    const int q = entry.plan.receivers();
-    for (const auto& [i, j] : entry.pairs) {
-      const Bytes ov = block_overlap(total_bytes, p, i, q, j);
-      if (ov <= 0) continue;  // exact-boundary pair below rounding
-      const NodeId src = scaled_.sender_order_[static_cast<std::size_t>(i)];
-      const NodeId dst = scaled_.receiver_order_[static_cast<std::size_t>(j)];
-      if (src == dst) {
-        scaled_.self_bytes_ += ov;
-      } else {
-        scaled_.remote_bytes_ += ov;
-        scaled_.transfers_.push_back(Transfer{src, dst, ov});
-      }
-    }
-    return scaled_;
-  }
-  ++misses_;
-  if (cache_.size() >= capacity_) {
-    // Batch-evict the least recently used half: one O(capacity) pass
-    // per capacity/2 misses keeps eviction O(1) amortized without an
-    // intrusive LRU list.
-    ticks_scratch_.clear();
-    ticks_scratch_.reserve(cache_.size());
-    for (const auto& [key, entry] : cache_)
-      ticks_scratch_.push_back(entry.last_used);
-    auto mid = ticks_scratch_.begin() +
-               static_cast<std::ptrdiff_t>(ticks_scratch_.size() / 2);
-    std::nth_element(ticks_scratch_.begin(), mid, ticks_scratch_.end());
-    // Ticks are unique, so erasing <= cutoff drops the median entry too
-    // — at least one entry always goes, keeping the bound even at
-    // capacity 1.
-    const std::uint64_t cutoff = *mid;
-    for (auto it = cache_.begin(); it != cache_.end();)
-      it = it->second.last_used <= cutoff ? cache_.erase(it) : std::next(it);
-  }
-  auto [slot, inserted] = cache_.emplace(std::move(probe_), CacheEntry{});
-  CacheEntry& entry = slot->second;
-  entry.last_used = tick_;
-  entry.volume = total_bytes;
-  Redistribution::plan_into(total_bytes, senders, receivers, maximize_self,
-                            scratch_, entry.plan);
-  // Record the candidate pair set in *exact* integer interval
-  // arithmetic (rank i of p covers [i*q, (i+1)*q) in units of
-  // total/(p*q)) so hits at other volumes walk the same pairs in the
-  // identical order: strictly-overlapping pairs always transfer;
-  // exact-boundary pairs (zero-width intersection) transfer only when
-  // rounding at that volume says so.  Volume-keyed entries (and the
-  // volume-0 sentinel class) can only ever hit at their own volume, so
-  // they skip the pair recording entirely.
-  if (scale_safe && total_bytes != 0) {
-    const auto p64 = static_cast<std::int64_t>(senders.size());
-    const auto q64 = static_cast<std::int64_t>(receivers.size());
-    for (std::int64_t i = 0; i < p64; ++i)
-      for (std::int64_t j = 0; j < q64; ++j)
-        if (std::min((i + 1) * q64, (j + 1) * p64) -
-                std::max(i * q64, j * p64) >=
-            0)
-          entry.pairs.emplace_back(static_cast<std::int32_t>(i),
-                                   static_cast<std::int32_t>(j));
-  }
-  return entry.plan;
 }
 
 }  // namespace rats

@@ -1,7 +1,6 @@
 #include "redist/estimate.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace rats {
 
@@ -9,17 +8,22 @@ Seconds estimate_redistribution_time(const Cluster& cluster,
                                      const Redistribution& r) {
   if (r.transfers().empty()) return 0;
 
-  // Aggregate per-resource load: NIC up/down per node, cabinet up/down
-  // per cabinet on hierarchical clusters.
-  std::map<LinkId, Bytes> load;
+  // Per-link load, indexed by link id (NIC up/down per node, cabinet
+  // up/down per cabinet on hierarchical clusters), summed in transfer
+  // order.
+  std::vector<Bytes> load(static_cast<std::size_t>(cluster.num_links()), 0.0);
   Seconds max_latency = 0;
   for (const Transfer& t : r.transfers()) {
-    for (LinkId l : cluster.route(t.src, t.dst)) load[l] += t.bytes;
+    cluster.for_each_route_link(t.src, t.dst, [&](LinkId l) {
+      load[static_cast<std::size_t>(l)] += t.bytes;
+    });
     max_latency = std::max(max_latency, cluster.route_latency(t.src, t.dst));
   }
   Seconds serial = 0;
-  for (const auto& [link, bytes] : load)
-    serial = std::max(serial, bytes / cluster.link(link).bandwidth);
+  for (LinkId l = 0; l < cluster.num_links(); ++l) {
+    const Bytes bytes = load[static_cast<std::size_t>(l)];
+    if (bytes > 0) serial = std::max(serial, bytes / cluster.link(l).bandwidth);
+  }
   return max_latency + serial;
 }
 

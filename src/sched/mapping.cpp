@@ -125,9 +125,6 @@ class Mapper {
     for (EdgeId e : g_.in_edges(t)) {
       const Edge& edge = g_.edge(e);
       const TaskPlacement& pred = sched_->of(edge.src);
-      // Candidate placements re-estimate the same (bytes, senders,
-      // receivers) redistribution over and over; the planner caches the
-      // plans.
       const Seconds redist = estimate_redistribution_time(
           cluster_, planner_.plan(edge.bytes, pred.procs, procs));
       data_ready = std::max(data_ready, pred.est_finish + redist);
@@ -343,7 +340,7 @@ class Mapper {
   const Allocation& alloc_;
   const MappingOptions& opt_;
   AmdahlModel model_;
-  mutable RedistPlanner planner_;  ///< caches candidate-placement plans
+  mutable RedistPlanner planner_;  ///< plans each candidate's redistributions
   std::vector<Seconds> proc_ready_;
   std::vector<char> consumed_;  ///< parents whose set was inherited
   std::vector<double> bl_;

@@ -222,11 +222,9 @@ SimulationResult simulate(const TaskGraph& graph, const Schedule& schedule,
     }
   };
 
-  // Redistribution plans repeat across task completions (and across the
-  // scenarios a worker thread replays): the per-thread planner caches
-  // them and reuses its matching scratch on misses.
-  static thread_local RedistPlanner planner;
-  planner.tag_simulator();
+  // One planner per simulation: every redistribution it opens reuses
+  // the planner's matching scratch and plan buffers.
+  RedistPlanner planner;
 
   auto open_redistribution = [&](EdgeId e) {
     const Edge& edge = graph.edge(e);

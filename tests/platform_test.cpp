@@ -1,6 +1,9 @@
 // Unit tests for the cluster platform model and the Grid'5000 presets.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.hpp"
 #include "platform/grid5000.hpp"
 
@@ -33,6 +36,18 @@ TEST(Cluster, LoopbackRouteIsEmpty) {
 TEST(Cluster, RouteLatencyIsSumOfLinkLatencies) {
   const Cluster c = Cluster::flat("test", 4, 1e9, 1e-4, 125e6);
   EXPECT_DOUBLE_EQ(c.route_latency(0, 1), 2e-4);
+  // route_latency walks the route without building it; it must add the
+  // same link latencies in the same order as a sum over `route`.
+  const Cluster h = Cluster::hierarchical_custom("h", {3, 5, 2}, 1e9, 1.3e-4,
+                                                 125e6, 7.7e-5, 1e9);
+  for (NodeId src = 0; src < h.num_nodes(); ++src)
+    for (NodeId dst = 0; dst < h.num_nodes(); ++dst) {
+      Seconds want = 0;
+      for (LinkId l : h.route(src, dst)) want += h.link(l).latency;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(h.route_latency(src, dst)),
+                std::bit_cast<std::uint64_t>(want))
+          << src << " -> " << dst;
+    }
 }
 
 TEST(Cluster, NicLinkIdsAreDistinctPerNode) {

@@ -2,11 +2,19 @@
 // paper's Table I communication matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <map>
 #include <numeric>
+#include <set>
+#include <string>
 #include <tuple>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "platform/grid5000.hpp"
 #include "redist/block_redistribution.hpp"
 #include "redist/estimate.hpp"
 
@@ -255,74 +263,237 @@ TEST(RedistPlanner, MatchesTheStaticPlanner) {
   }
 }
 
-TEST(RedistPlanner, CachesRepeatedRequests) {
-  RedistPlanner planner;
-  const auto senders = nodes({0, 1, 2});
-  const auto receivers = nodes({2, 3});
-  planner.plan(1e6, senders, receivers);
-  EXPECT_EQ(planner.misses(), 1u);
-  const Redistribution& again = planner.plan(1e6, senders, receivers);
-  EXPECT_EQ(planner.hits(), 1u);
-  EXPECT_EQ(planner.misses(), 1u);
-  expect_same_plan(again, Redistribution::plan(1e6, senders, receivers));
-  // A different volume, rank order or flag is a different plan.
-  planner.plan(2e6, senders, receivers);
-  planner.plan(1e6, receivers, senders);
-  planner.plan(1e6, senders, receivers, /*maximize_self=*/false);
-  EXPECT_EQ(planner.misses(), 4u);
-  EXPECT_EQ(planner.cache_size(), 4u);
+// ------------------------------------------------- full-scan oracles
+
+/// Bit pattern of a double, so the oracles below compare bitwise.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A plan as the reference planner below computes it.
+struct RefPlan {
+  std::vector<NodeId> receiver_order;
+  std::vector<Transfer> transfers;
+  Bytes self_bytes = 0;
+  Bytes remote_bytes = 0;
+};
+
+/// Reference planner: tests every one of the p x q rank pairs, both for
+/// the self-communication matching candidates and for the transfer
+/// list.  The candidate walk must reproduce it bit for bit.
+RefPlan full_scan_plan(Bytes total, const std::vector<NodeId>& senders,
+                       const std::vector<NodeId>& receivers,
+                       bool maximize_self) {
+  const int p = static_cast<int>(senders.size());
+  const int q = static_cast<int>(receivers.size());
+  RefPlan r;
+  r.receiver_order = receivers;
+  if (maximize_self) {
+    std::map<NodeId, int> sender_rank;
+    for (int i = 0; i < p; ++i)
+      sender_rank.emplace(senders[static_cast<std::size_t>(i)], i);
+    struct Cand {
+      Bytes overlap;
+      NodeId node;
+      int rank;
+    };
+    std::vector<Cand> cands;
+    for (NodeId node : receivers) {
+      const auto hit = sender_rank.find(node);
+      if (hit == sender_rank.end()) continue;
+      for (int j = 0; j < q; ++j) {
+        const Bytes ov = block_overlap(total, p, hit->second, q, j);
+        if (ov > 0) cands.push_back(Cand{ov, node, j});
+      }
+    }
+    std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
+      if (a.overlap != b.overlap) return a.overlap > b.overlap;
+      if (a.node != b.node) return a.node < b.node;
+      return a.rank < b.rank;
+    });
+    std::vector<NodeId> assignment(static_cast<std::size_t>(q), kNoNode);
+    std::set<NodeId> used;
+    for (const Cand& c : cands) {
+      if (used.count(c.node) ||
+          assignment[static_cast<std::size_t>(c.rank)] != kNoNode)
+        continue;
+      assignment[static_cast<std::size_t>(c.rank)] = c.node;
+      used.insert(c.node);
+    }
+    std::size_t next = 0;
+    for (NodeId node : receivers) {
+      if (!used.insert(node).second) continue;
+      while (assignment[next] != kNoNode) ++next;
+      assignment[next] = node;
+    }
+    r.receiver_order = assignment;
+  }
+  for (int i = 0; i < p; ++i) {
+    for (int j = 0; j < q; ++j) {
+      const Bytes ov = block_overlap(total, p, i, q, j);
+      if (ov <= 0) continue;
+      const NodeId src = senders[static_cast<std::size_t>(i)];
+      const NodeId dst = r.receiver_order[static_cast<std::size_t>(j)];
+      if (src == dst) {
+        r.self_bytes += ov;
+      } else {
+        r.remote_bytes += ov;
+        r.transfers.push_back(Transfer{src, dst, ov});
+      }
+    }
+  }
+  return r;
 }
 
-TEST(RedistPlanner, GeometryKeyedEntriesRescaleAcrossVolumes) {
-  // Disjoint sets, equal-size sets and maximize_self=false have
-  // volume-independent plan structure: one cache entry serves every
-  // byte volume, rescaled bitwise to what a fresh plan computes.
-  RedistPlanner planner;
-  const std::vector<std::tuple<std::vector<NodeId>, std::vector<NodeId>, bool>>
-      cases = {{nodes({0, 1, 2}), nodes({3, 4}), true},       // disjoint
-               {nodes({0, 1, 2}), nodes({5, 6, 7, 8}), true}, // disjoint
-               {nodes({3, 1, 4}), nodes({4, 3, 1}), true},    // p == q, shared
-               {nodes({0, 1, 2, 3}), nodes({2, 3, 4}), false}};  // no matching
-  for (const auto& [senders, receivers, maximize] : cases) {
-    const auto misses_before = planner.misses();
-    for (const Bytes volume : {1e6, 3.5e7, 123456.0, 1e9, 7.0, 0.0})
-      expect_same_plan(
-          planner.plan(volume, senders, receivers, maximize),
-          Redistribution::plan(volume, senders, receivers, maximize));
-    // Volume 0 is its own class (empty plan, unpermuted receiver
-    // order); every nonzero volume shares one geometry entry.
-    EXPECT_LE(planner.misses() - misses_before, 2u);
+bool same_plan_bits(const Redistribution& a, const RefPlan& b) {
+  if (bits(a.self_bytes()) != bits(b.self_bytes) ||
+      bits(a.remote_bytes()) != bits(b.remote_bytes) ||
+      a.receiver_order() != b.receiver_order ||
+      a.transfers().size() != b.transfers.size())
+    return false;
+  for (std::size_t i = 0; i < b.transfers.size(); ++i) {
+    const Transfer& x = a.transfers()[i];
+    const Transfer& y = b.transfers[i];
+    if (x.src != y.src || x.dst != y.dst || bits(x.bytes) != bits(y.bytes))
+      return false;
+  }
+  return true;
+}
+
+/// `count` distinct node ids from [0, limit), in random order.
+std::vector<NodeId> random_nodes(Rng& rng, int count, int limit) {
+  std::vector<NodeId> pool(static_cast<std::size_t>(limit));
+  std::iota(pool.begin(), pool.end(), 0);
+  for (int k = 0; k < count; ++k)
+    std::swap(pool[static_cast<std::size_t>(k)],
+              pool[static_cast<std::size_t>(rng.uniform_int(k, limit - 1))]);
+  pool.resize(static_cast<std::size_t>(count));
+  return pool;
+}
+
+/// A random byte volume of one of the classes the oracles cover: 0-3,
+/// below 1, multiples of p * q, powers of two and reals up to 1e12.
+Bytes random_volume(Rng& rng, int p, int q) {
+  switch (rng.uniform_int(0, 4)) {
+    case 0:
+      return static_cast<Bytes>(rng.uniform_int(0, 3));
+    case 1:
+      return rng.uniform(0.0, 1.0);
+    case 2:
+      return static_cast<Bytes>(rng.uniform_int(1, 1000000)) * p * q;
+    case 3:
+      return std::ldexp(1.0, static_cast<int>(rng.uniform_int(-20, 40)));
+    default:
+      return rng.uniform(0.0, 1e12);
   }
 }
 
-TEST(RedistPlanner, RescaleMatchesFreshPlansOnRandomGeometries) {
-  RedistPlanner planner;
-  Rng rng(0x9E0Du);
-  for (int instance = 0; instance < 300; ++instance) {
-    const int p = static_cast<int>(rng.uniform_int(1, 12));
-    const int q = static_cast<int>(rng.uniform_int(1, 12));
-    const bool disjoint = rng.bernoulli(0.5);
-    std::vector<NodeId> senders, receivers;
-    for (int i = 0; i < p; ++i) senders.push_back(i);
-    for (int j = 0; j < q; ++j)
-      receivers.push_back(disjoint ? p + j : j);
+// The candidate walk visits only the rank pairs that meet in exact
+// arithmetic, zero-width boundary pairs included; it must emit what
+// the p x q scan emits, bit for bit and in the same order, on disjoint,
+// partly shared and permuted-identical node sets.
+TEST(Redistribution, CandidateWalkMatchesFullScanBitwise) {
+  Rng rng(0xCA9D1DA7u);
+  RedistPlanner planner;  // one planner: its scratch is reused throughout
+  int mismatches = 0;
+  std::string first_mismatch;
+  for (int instance = 0; instance < 20000; ++instance) {
+    // Half the draws small, where every rank pair is a boundary case.
+    const int hi = rng.bernoulli(0.5) ? 12 : 130;
+    const int p = static_cast<int>(rng.uniform_int(1, hi));
+    int q = static_cast<int>(rng.uniform_int(1, hi));
+    std::vector<NodeId> senders = random_nodes(rng, p, 2 * 130);
+    std::vector<NodeId> receivers;
+    switch (rng.uniform_int(0, 2)) {
+      case 0: {  // disjoint: receivers from ids no sender uses
+        receivers = random_nodes(rng, q, 2 * 130);
+        for (NodeId& n : receivers) n += 2 * 130;
+        break;
+      }
+      case 1: {  // partly shared
+        const std::vector<NodeId> pool = random_nodes(rng, 2 * 130, 2 * 130);
+        std::set<NodeId> taken;
+        const int shared = static_cast<int>(rng.uniform_int(1, std::min(p, q)));
+        for (int k = 0; k < shared; ++k)
+          taken.insert(senders[static_cast<std::size_t>(
+              rng.uniform_int(0, p - 1))]);
+        receivers.assign(taken.begin(), taken.end());
+        for (NodeId n : pool) {
+          if (static_cast<int>(receivers.size()) == q) break;
+          if (!taken.count(n)) receivers.push_back(n);
+        }
+        for (int k = q - 1; k > 0; --k)
+          std::swap(receivers[static_cast<std::size_t>(k)],
+                    receivers[static_cast<std::size_t>(rng.uniform_int(0, k))]);
+        break;
+      }
+      default: {  // the senders' own set, permuted
+        q = p;
+        receivers = senders;
+        for (int k = q - 1; k > 0; --k)
+          std::swap(receivers[static_cast<std::size_t>(k)],
+                    receivers[static_cast<std::size_t>(rng.uniform_int(0, k))]);
+      }
+    }
     const bool maximize = rng.bernoulli(0.7);
-    const Bytes volume = rng.bernoulli(0.2)
-                             ? static_cast<Bytes>(rng.uniform_int(0, 3))
-                             : rng.uniform(1.0, 1e9);
-    expect_same_plan(planner.plan(volume, senders, receivers, maximize),
-                     Redistribution::plan(volume, senders, receivers, maximize));
+    const Bytes volume = random_volume(rng, p, q);
+    const RefPlan want = full_scan_plan(volume, senders, receivers, maximize);
+    const bool same =
+        same_plan_bits(Redistribution::plan(volume, senders, receivers,
+                                            maximize),
+                       want) &&
+        same_plan_bits(planner.plan(volume, senders, receivers, maximize),
+                       want);
+    if (!same && mismatches++ == 0)
+      first_mismatch = "instance " + std::to_string(instance) + ": p=" +
+                       std::to_string(p) + " q=" + std::to_string(q) +
+                       " volume=" + std::to_string(volume) +
+                       " maximize=" + std::to_string(maximize);
   }
+  EXPECT_EQ(mismatches, 0) << "first: " << first_mismatch;
 }
 
-TEST(RedistPlanner, EvictionKeepsTheCacheBounded) {
-  RedistPlanner planner(8);
-  for (int i = 0; i < 100; ++i)
-    planner.plan(1e6 + i, nodes({0, 1}), nodes({2, 3}));
-  EXPECT_LE(planner.cache_size(), 8u);
-  // Still correct after heavy eviction.
-  expect_same_plan(planner.plan(42.0, nodes({0, 1}), nodes({2, 3})),
-                   Redistribution::plan(42.0, nodes({0, 1}), nodes({2, 3})));
+/// Reference estimate: per-link loads in a std::map, built from one
+/// route vector per transfer.
+Seconds map_reference_estimate(const Cluster& cluster,
+                               const Redistribution& r) {
+  if (r.transfers().empty()) return 0;
+  std::map<LinkId, Bytes> load;
+  Seconds max_latency = 0;
+  for (const Transfer& t : r.transfers()) {
+    Seconds latency = 0;
+    for (LinkId l : cluster.route(t.src, t.dst)) {
+      load[l] += t.bytes;
+      latency += cluster.link(l).latency;
+    }
+    max_latency = std::max(max_latency, latency);
+  }
+  Seconds serial = 0;
+  for (const auto& [link, bytes] : load)
+    serial = std::max(serial, bytes / cluster.link(link).bandwidth);
+  return max_latency + serial;
+}
+
+// grillon is one flat switch; grelon's cabinets add shared uplinks, so
+// cross-cabinet routes load four links per transfer.
+TEST(Estimate, FlatLoadsMatchMapReferenceBitwise) {
+  Rng rng(0xE57A7Eu);
+  for (const Cluster& cluster : {grid5000::grillon(), grid5000::grelon()}) {
+    int mismatches = 0;
+    for (int instance = 0; instance < 3000; ++instance) {
+      const int n = cluster.num_nodes();
+      const int p =
+          static_cast<int>(rng.uniform_int(1, rng.bernoulli(0.5) ? 8 : n));
+      const int q =
+          static_cast<int>(rng.uniform_int(1, rng.bernoulli(0.5) ? 8 : n));
+      const auto senders = random_nodes(rng, p, n);
+      const auto receivers = random_nodes(rng, q, n);
+      const Redistribution r = Redistribution::plan(
+          random_volume(rng, p, q), senders, receivers, rng.bernoulli(0.7));
+      if (bits(estimate_redistribution_time(cluster, r)) !=
+          bits(map_reference_estimate(cluster, r)))
+        ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0) << cluster.name();
+  }
 }
 
 }  // namespace
