@@ -10,10 +10,16 @@
 #include <mutex>
 
 #include "common/error.hpp"
+#include "exp/experiment_seam.hpp"
 #include "exp/parallel.hpp"
+#include "obs/registry.hpp"
 #include "trace/trace.hpp"
 
 namespace rats {
+
+namespace detail {
+void (*simulation_claimed)(std::size_t run) = nullptr;
+}  // namespace detail
 
 namespace {
 
@@ -55,17 +61,40 @@ bool same_simulation(const Schedule& a, const Schedule& b) {
                     });
 }
 
+/// Runs that found their simulation still being filled.  Volatile: how
+/// many park depends on thread timing.
+obs::Counter& parked_runs() {
+  static obs::Counter& c =
+      obs::counter("exp/parked_runs", obs::Stability::Volatile);
+  return c;
+}
+
 /// The shared work of a run matrix, one row per (cluster, entry): the
 /// step-one allocation per allocation kind and the simulation per
 /// distinct step-two schedule.  Within a row the graph, cluster and
 /// simulator options are fixed, so each of them is computed once, by
 /// the first run that reads it, and every later run of the row reuses
-/// it.  A row is freed when its last run ends; the pool claims runs in
-/// index order, so only about `threads` rows are live at once.
+/// it.  A run whose schedule another thread is still simulating does
+/// not wait for it: it parks on the simulation and its thread claims
+/// the next run.  The filling thread finishes every parked run, then
+/// its own, so the row outlives them; a parked run's sink writes and
+/// RunSession::end_run therefore come from another thread than its
+/// begin_run.  A row is freed when its last run ends; the pool claims
+/// runs in index order, so only about `threads` rows are live at once.
 class RunTable {
  public:
-  RunTable(std::size_t rows, std::size_t runs_per_row) : rows_(rows) {
+  /// What finishing a run takes: its index, its outcome slot and its
+  /// trace sink (nullptr when untraced).
+  struct Run {
+    std::size_t index = 0;
+    RunOutcome* out = nullptr;
+    TraceSink* sink = nullptr;
+  };
+
+  RunTable(std::size_t rows, std::size_t runs_per_row, RunSession* session)
+      : rows_(rows), session_(session) {
     for (auto& row : rows_) row = std::make_unique<Row>(runs_per_row);
+    parked_runs();  // in every snapshot, 0 when nothing parked
   }
 
   const Allocation& allocation(std::size_t row, const TaskGraph& graph,
@@ -74,33 +103,35 @@ class RunTable {
         [&] { return allocate(graph, cluster, AllocationOptions{kind}); });
   }
 
-  /// The outcome of simulating `schedule`.  A run that repeats an
-  /// earlier schedule of its row gets that simulation's outcome and,
-  /// when traced, appends its recorded events to `sim.trace`.
-  RunOutcome outcome(std::size_t row, const TaskGraph& graph,
-                     const Cluster& cluster, Schedule schedule,
-                     const SimulatorOptions& sim) {
-    Simulation& slot = rows_[row]->find_or_add(std::move(schedule));
-    TraceSink* const sink = sim.trace;
-    bool filled = false;
-    const Simulated& shared = slot.result.get([&] {
-      filled = true;
-      const std::size_t first = sink ? sink->size() : 0;
-      Simulated s;
-      s.outcome = simulate_run(graph, slot.schedule, cluster, sim);
-      if (sink) {
-        s.traced = true;
-        s.events.assign(
-            sink->events().begin() + static_cast<std::ptrdiff_t>(first),
-            sink->events().end());
+  /// Simulates `schedule` for `run`, or takes the row's simulation of an
+  /// equal schedule, and ends the run.  A repeat appends the events that
+  /// simulation recorded to its sink.  If another thread is still
+  /// simulating that schedule the run parks and this returns at once;
+  /// that thread finishes it.  A failed simulation is rethrown to its
+  /// filler and to every later repeat, and the runs parked on it are
+  /// dropped.
+  void simulate(std::size_t row, const TaskGraph& graph,
+                const Cluster& cluster, Schedule schedule,
+                const SimulatorOptions& sim, const Run& run) {
+    Row& r = *rows_[row];
+    Simulation* slot = nullptr;
+    bool filler = false;
+    {
+      std::lock_guard<std::mutex> lock(r.mu);
+      slot = &r.find_or_add(std::move(schedule));
+      if (slot->state == State::Filling) {
+        slot->parked.push_back(run);
+        parked_runs().inc();
+        return;
       }
-      return s;
-    });
-    if (filled || sink == nullptr) return shared.outcome;
-    RATS_REQUIRE(shared.traced,
-                 "a run matrix must trace all of its runs or none");
-    sink->append(shared.events);
-    return shared.outcome;
+      filler = slot->state == State::Empty;
+      if (filler) slot->state = State::Filling;
+    }
+    if (filler)
+      for (const Run& p : fill(r, *slot, graph, cluster, sim, run))
+        finish(row, *slot, p, true);
+    if (slot->failure) std::rethrow_exception(slot->failure);
+    finish(row, *slot, run, !filler);
   }
 
   /// Ends one run of `row`, injected or not; the last one frees the row.
@@ -109,20 +140,23 @@ class RunTable {
   }
 
  private:
-  struct Simulated {
-    RunOutcome outcome;
-    bool traced = false;             ///< filled by a run with a sink
-    std::vector<TraceEvent> events;  ///< what that sink recorded
-  };
+  enum class State { Empty, Filling, Done };
   struct Simulation {
     Schedule schedule;
-    Once<Simulated> result;
+    // Guarded by the row mutex.
+    State state = State::Empty;
+    std::vector<Run> parked;  ///< repeats the filler finishes
+    // Written by the filler before the state turns Done, then read-only.
+    RunOutcome outcome;
+    std::exception_ptr failure;
+    bool traced = false;             ///< filled by a run with a sink
+    std::vector<TraceEvent> events;  ///< what that sink recorded
   };
   struct Row {
     explicit Row(std::size_t runs) : open_runs(runs) {}
 
+    /// The slot of `schedule`, added empty if new.  Call with `mu` held.
     Simulation& find_or_add(Schedule&& schedule) {
-      std::lock_guard<std::mutex> lock(mu);
       for (Simulation& s : simulations)
         if (same_simulation(s.schedule, schedule)) return s;
       Simulation& added = simulations.emplace_back();
@@ -131,11 +165,56 @@ class RunTable {
     }
 
     std::array<Once<Allocation>, 3> step_one;  ///< per AllocationKind
-    std::mutex mu;                             ///< guards simulations
+    std::mutex mu;  ///< guards simulations and their states
     std::list<Simulation> simulations;
     std::atomic<std::size_t> open_runs;
   };
+
+  /// Simulates `slot`'s schedule for `run` into the slot, marks it done
+  /// and returns the runs that parked on it meanwhile (none if the
+  /// simulation failed).
+  static std::vector<Run> fill(Row& row, Simulation& slot,
+                               const TaskGraph& graph, const Cluster& cluster,
+                               const SimulatorOptions& sim, const Run& run) {
+    TraceSink* const sink = run.sink;
+    try {
+      if (detail::simulation_claimed) detail::simulation_claimed(run.index);
+      const std::size_t first = sink ? sink->size() : 0;
+      slot.outcome = simulate_run(graph, slot.schedule, cluster, sim);
+      if (sink) {
+        slot.traced = true;
+        slot.events.assign(
+            sink->events().begin() + static_cast<std::ptrdiff_t>(first),
+            sink->events().end());
+      }
+    } catch (...) {
+      slot.failure = std::current_exception();
+    }
+    std::vector<Run> parked;
+    std::lock_guard<std::mutex> lock(row.mu);
+    slot.state = State::Done;
+    if (!slot.failure) parked.swap(slot.parked);
+    return parked;
+  }
+
+  /// Hands `slot`'s outcome to `run`, and to a repeat its trace events,
+  /// then ends the run: the row (which may free `slot`), the run count
+  /// and the session.
+  void finish(std::size_t row, const Simulation& slot, const Run& run,
+              bool repeat) {
+    *run.out = slot.outcome;
+    if (repeat && run.sink) {
+      RATS_REQUIRE(slot.traced,
+                   "a run matrix must trace all of its runs or none");
+      run.sink->append(slot.events);
+    }
+    end_run(row);
+    note_simulated_run();
+    if (session_) session_->end_run(run.index, *run.out);
+  }
+
   std::vector<std::unique_ptr<Row>> rows_;
+  RunSession* session_;
 };
 
 }  // namespace
@@ -174,7 +253,7 @@ std::vector<ExperimentData> run_experiments(
     data.outcome.assign(corpus.size(), std::vector<RunOutcome>(num_algos));
   }
 
-  RunTable table(clusters.size() * corpus.size(), num_algos);
+  RunTable table(clusters.size() * corpus.size(), num_algos, session);
   const std::size_t per_cluster = corpus.size() * num_algos;
   if (session) session->begin_matrix(clusters.size() * per_cluster);
   parallel_for(clusters.size() * per_cluster, [&](std::size_t j) {
@@ -197,12 +276,9 @@ std::vector<ExperimentData> run_experiments(
     if (session) sim.trace = session->begin_run(j, meta);
     const Allocation& allocation = table.allocation(
         row, graph, clusters[c], allocation_kind(spec.options.kind));
-    out = table.outcome(
-        row, graph, clusters[c],
-        schedule_run(graph, clusters[c], allocation, spec.options), sim);
-    table.end_run(row);
-    note_simulated_run();
-    if (session) session->end_run(j, out);
+    table.simulate(row, graph, clusters[c],
+                   schedule_run(graph, clusters[c], allocation, spec.options),
+                   sim, {j, &out, sim.trace});
   }, threads);
   return results;
 }

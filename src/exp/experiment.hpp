@@ -68,9 +68,11 @@ using AlgoSetOf = std::function<const std::vector<AlgoSpec>&(
 /// runs once per run.  The simulation runs once per distinct schedule
 /// of a (cluster, entry): a run whose schedule equals an earlier run's
 /// in every field the simulator reads gets that simulation's outcome,
-/// bit for bit, and a traced run gets a copy of its trace events.  A
-/// run the session injects allocates and simulates nothing, so a serve
-/// shard only computes the entries it runs.
+/// bit for bit, and a traced run gets a copy of its trace events.  If
+/// that simulation is still running, the run parks instead of waiting,
+/// and the thread simulating it ends the run.  A run the session
+/// injects allocates and simulates nothing, so a serve shard only
+/// computes the entries it runs.
 std::vector<ExperimentData> run_experiments(
     const std::vector<CorpusEntry>& corpus,
     const std::vector<Cluster>& clusters, const AlgoSetOf& algos_for,

@@ -10,7 +10,11 @@
 // writer (trace/writer.hpp) is the main implementation.
 //
 // Runs execute in parallel and complete out of order; implementations
-// must be thread-safe across begin_run/end_run.
+// must be thread-safe across begin_run/end_run.  A run's end_run, and
+// the writes to its sink, may come from another thread than its
+// begin_run: a run matrix parks a run whose schedule another thread is
+// still simulating, and that thread finishes it (exp/experiment.hpp).
+// The matrix orders the hand-over, so the sink needs no lock of its own.
 #pragma once
 
 #include <cstddef>
@@ -57,11 +61,11 @@ class RunSession {
   }
 
   /// Called as run `run` starts; the returned sink (nullptr = do not
-  /// trace) receives the run's simulation events and must stay valid
-  /// until the matching end_run.
+  /// trace) receives the run's simulation events, possibly on another
+  /// thread, and must stay valid until the matching end_run.
   virtual TraceSink* begin_run(std::size_t run, const RunMeta& meta) = 0;
 
-  /// Called when run `run` completes.
+  /// Called when run `run` completes, on whichever thread finished it.
   virtual void end_run(std::size_t run, const RunOutcome& outcome) = 0;
 };
 

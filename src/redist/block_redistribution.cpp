@@ -36,29 +36,6 @@ std::pair<int, int> receiver_range(int p, int i, int q) {
           static_cast<int>(std::min<std::int64_t>(last, q - 1))};
 }
 
-/// Sorted flat map lookup; returns nullptr when `node` is absent.
-template <typename Pair>
-Pair* flat_find(std::vector<Pair>& entries, NodeId node) {
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), node,
-      [](const Pair& a, NodeId n) { return a.first < n; });
-  if (it == entries.end() || it->first != node) return nullptr;
-  return &*it;
-}
-
-/// Sorts a flat (node, value) map by node and keeps each node's
-/// smallest value, which is its first inserted one: both maps below are
-/// filled in ascending value order (std::map::emplace semantics).
-template <typename Pair>
-void sort_unique_by_node(std::vector<Pair>& entries) {
-  std::sort(entries.begin(), entries.end());
-  entries.erase(std::unique(entries.begin(), entries.end(),
-                            [](const Pair& a, const Pair& b) {
-                              return a.first == b.first;
-                            }),
-                entries.end());
-}
-
 }  // namespace
 
 void Redistribution::plan_into(Bytes total_bytes,
@@ -84,19 +61,34 @@ void Redistribution::plan_into(Bytes total_bytes,
     // present on both sides get the receiver interval overlapping
     // their sender interval the most.  Greedy matching on descending
     // overlap; ties broken deterministically by (node, rank).
-    auto& sender_rank = scratch.sender_rank;  // node -> first sender rank
-    sender_rank.clear();
-    for (int i = 0; i < p; ++i) sender_rank.emplace_back(senders[i], i);
-    sort_unique_by_node(sender_rank);
+    NodeId largest = 0;
+    for (const auto* side : {&senders, &receivers})
+      for (NodeId node : *side) {
+        RATS_REQUIRE(node >= 0, "node ids must be non-negative");
+        largest = std::max(largest, node);
+      }
+    auto& nodes = scratch.nodes;
+    if (static_cast<std::size_t>(largest) >= nodes.size())
+      nodes.resize(static_cast<std::size_t>(largest) + 1);
+    const std::uint64_t plan = ++scratch.plan;
+    const auto slot = [&](NodeId node) -> PlanScratch::NodeSlot& {
+      return nodes[static_cast<std::size_t>(node)];
+    };
+    for (int i = 0; i < p; ++i) {
+      PlanScratch::NodeSlot& s = slot(senders[static_cast<std::size_t>(i)]);
+      if (s.sender == plan) continue;  // keep the node's first rank
+      s.sender = plan;
+      s.rank = i;
+    }
 
     auto& cands = scratch.cands;
     cands.clear();
     for (NodeId node : receivers) {
-      const auto* hit = flat_find(sender_rank, node);
-      if (!hit) continue;
-      const auto [first, last] = receiver_range(p, hit->second, q);
+      const PlanScratch::NodeSlot& s = slot(node);
+      if (s.sender != plan) continue;
+      const auto [first, last] = receiver_range(p, s.rank, q);
       for (int j = first; j <= last; ++j) {
-        const Bytes ov = block_overlap(total_bytes, p, hit->second, q, j);
+        const Bytes ov = block_overlap(total_bytes, p, s.rank, q, j);
         if (ov > 0) cands.push_back(PlanScratch::Cand{ov, node, j});
       }
     }
@@ -109,26 +101,22 @@ void Redistribution::plan_into(Bytes total_bytes,
 
     auto& assignment = scratch.assignment;
     assignment.assign(static_cast<std::size_t>(q), kNoNode);
-    auto& node_used = scratch.node_used;
-    node_used.clear();
-    for (NodeId node : receivers) node_used.emplace_back(node, 0);
-    sort_unique_by_node(node_used);
     for (const PlanScratch::Cand& c : cands) {
-      auto* used = flat_find(node_used, c.node);
-      if (used->second || assignment[static_cast<std::size_t>(c.rank)] != kNoNode)
+      PlanScratch::NodeSlot& s = slot(c.node);
+      if (s.used == plan || assignment[static_cast<std::size_t>(c.rank)] != kNoNode)
         continue;
       assignment[static_cast<std::size_t>(c.rank)] = c.node;
-      used->second = 1;
+      s.used = plan;
     }
     // Fill the remaining ranks with the unassigned nodes in their
     // original order.
     std::size_t next = 0;
     for (NodeId node : receivers) {
-      auto* used = flat_find(node_used, node);
-      if (used->second) continue;
+      PlanScratch::NodeSlot& s = slot(node);
+      if (s.used == plan) continue;
       while (assignment[next] != kNoNode) ++next;
       assignment[next] = node;
-      used->second = 1;
+      s.used = plan;
     }
     out.receiver_order_.assign(assignment.begin(), assignment.end());
   }

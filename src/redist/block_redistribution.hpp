@@ -14,6 +14,7 @@
 // set of processors therefore exchange zero bytes over the network.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/units.hpp"
@@ -78,10 +79,18 @@ class Redistribution {
       NodeId node;
       int rank;  ///< candidate receiver rank
     };
+    /// One node's matching state, indexed by node id.  A field counts
+    /// only while its stamp is the current plan's, so no plan clears
+    /// the array.
+    struct NodeSlot {
+      std::uint64_t sender = 0;  ///< stamp: the node is a sender
+      std::uint64_t used = 0;    ///< stamp: a receiver rank is the node's
+      int rank = 0;              ///< the node's first sender rank
+    };
     std::vector<Cand> cands;
     std::vector<NodeId> assignment;
-    std::vector<std::pair<NodeId, int>> sender_rank;  ///< sorted by node
-    std::vector<std::pair<NodeId, char>> node_used;   ///< sorted by node
+    std::vector<NodeSlot> nodes;  ///< grown to the largest node id seen
+    std::uint64_t plan = 0;       ///< the current plan's stamp
   };
 
   /// The planning core shared by `plan` and `RedistPlanner`.

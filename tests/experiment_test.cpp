@@ -1,16 +1,22 @@
 // Unit tests for the experiment harness: parallel execution, the run
-// matrix's shared step one and shared simulations, relative series,
-// pairwise comparison and degradation-from-best aggregations.
+// matrix's shared step one, shared simulations and parked repeats,
+// relative series, pairwise comparison and degradation-from-best
+// aggregations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <functional>
 #include <numeric>
+#include <optional>
+#include <sstream>
+#include <thread>
 
 #include "common/error.hpp"
 #include "exp/experiment.hpp"
+#include "exp/experiment_seam.hpp"
 #include "exp/parallel.hpp"
 #include "exp/presets.hpp"
 #include "exp/tuning.hpp"
@@ -20,6 +26,7 @@
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
 #include "trace/replay.hpp"
+#include "trace/writer.hpp"
 
 namespace rats {
 namespace {
@@ -471,6 +478,162 @@ TEST(RunMatrix, SimulationFailureRethrowsToEveryRepeat) {
     EXPECT_THROW(run_experiment(corpus, cluster, algos, 4, nullptr, &sim),
                  Error);
   EXPECT_EQ(run_experiment(corpus, cluster, algos, 4).entries(), 4u);
+}
+
+// ---------------------------------------- run matrix parked repeats
+
+std::uint64_t parked_runs() {
+  return obs::counter("exp/parked_runs", obs::Stability::Volatile).value();
+}
+
+// State of hold_first_filler, set by HoldFirstFiller before a matrix.
+std::atomic<bool> g_held{false};
+std::atomic<std::size_t> g_held_run{0};
+std::uint64_t g_parked_before = 0;
+bool g_fail_held = false;
+
+/// The seam hook: holds the matrix's first simulation filler until a
+/// run has parked, then fails its simulation if asked to.  It gives up
+/// after 10 s, so a run that never parks fails the test instead of
+/// hanging it.
+void hold_first_filler(std::size_t run) {
+  if (g_held.exchange(true)) return;
+  g_held_run = run;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (parked_runs() == g_parked_before &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (g_fail_held) throw Error("held filler fails");
+}
+
+/// Installs hold_first_filler for the scope.
+struct HoldFirstFiller {
+  explicit HoldFirstFiller(bool fail) {
+    g_held = false;
+    g_parked_before = parked_runs();
+    g_fail_held = fail;
+    detail::simulation_claimed = &hold_first_filler;
+  }
+  ~HoldFirstFiller() { detail::simulation_claimed = nullptr; }
+};
+
+/// Notes, per run, the thread that began it, the thread that ended it
+/// and how often it ended; when traced, streams the matrix's trace.
+class ThreadLog final : public RunSession {
+ public:
+  ThreadLog(std::size_t runs, bool traced)
+      : began(runs), ended_on(runs), ends(runs) {
+    if (traced) writer_.emplace(trace, "parked", "experiment", "spec");
+  }
+  void begin_matrix(std::size_t runs) override {
+    if (writer_) writer_->begin_matrix(runs);
+  }
+  TraceSink* begin_run(std::size_t run, const RunMeta& meta) override {
+    began[run] = std::this_thread::get_id();
+    return writer_ ? writer_->begin_run(run, meta.entry, meta.algo,
+                                        meta.cluster)
+                   : nullptr;
+  }
+  void end_run(std::size_t run, const RunOutcome& outcome) override {
+    ended_on[run] = std::this_thread::get_id();
+    ++ends[run];
+    if (writer_) writer_->end_run(run, outcome.makespan);
+  }
+  void finish() {
+    if (writer_) writer_->finish();
+  }
+
+  std::ostringstream trace;
+  std::vector<std::thread::id> began, ended_on;
+  std::vector<std::atomic<int>> ends;
+
+ private:
+  std::optional<TraceWriter> writer_;
+};
+
+/// Run `run`'s chunk of a trace, from its meta line to its end line.
+std::string chunk_of(const std::string& trace, std::size_t run) {
+  const std::string id = std::to_string(run) + ",";
+  const std::size_t begin = trace.find("{\"run\":" + id);
+  if (begin == std::string::npos) return {};
+  const std::size_t end =
+      trace.find('\n', trace.find("{\"run_end\":" + id, begin));
+  if (end == std::string::npos) return {};
+  return trace.substr(begin, end + 1 - begin);
+}
+
+/// fig4's run matrix with HCPA twice in front: in every entry, runs 0
+/// and 1 simulate the same schedule.  At two threads the pool claims
+/// them first, so the first filler of the matrix is one of the two and
+/// the other parks on it.
+std::vector<AlgoSpec> repeated_first_algos() {
+  std::vector<AlgoSpec> algos = fig4_algos();
+  algos.insert(algos.begin() + 1, algos.front());
+  return algos;
+}
+
+TEST(RunMatrix, ParkedRepeatIsFinishedByTheFiller) {
+  MetricsOn metrics;
+  const auto corpus = fft_corpus();
+  const Cluster cluster = grid5000::grillon();
+  const auto algos = repeated_first_algos();
+  const std::size_t runs = corpus.size() * algos.size();
+
+  ThreadLog serial(runs, true);
+  const ExperimentData want = run_experiment(corpus, cluster, algos, 1,
+                                             &serial);
+  serial.finish();
+  ThreadLog pooled(runs, true);
+  ExperimentData got;
+  {
+    HoldFirstFiller hold(false);
+    got = run_experiment(corpus, cluster, algos, 2, &pooled);
+  }
+  pooled.finish();
+  ASSERT_GT(parked_runs(), g_parked_before) << "nothing parked";
+  const std::size_t held = g_held_run;
+  ASSERT_LE(held, 1u);
+  const std::size_t parked = 1 - held;
+
+  EXPECT_NE(pooled.began[parked], pooled.began[held]);
+  EXPECT_EQ(pooled.ended_on[parked], pooled.began[held])
+      << "the parked run must end on its filler's thread";
+  for (std::size_t j = 0; j < runs; ++j)
+    EXPECT_EQ(pooled.ends[j].load(), 1) << "run " << j;
+  for (std::size_t e = 0; e < corpus.size(); ++e)
+    for (std::size_t a = 0; a < algos.size(); ++a)
+      EXPECT_TRUE(same_outcome(got.outcome[e][a], want.outcome[e][a]))
+          << corpus[e].name << " / run " << a;
+  const std::string chunk = chunk_of(serial.trace.str(), parked);
+  EXPECT_NE(chunk.find("task_start"), std::string::npos);
+  EXPECT_EQ(chunk_of(pooled.trace.str(), parked), chunk);
+  EXPECT_TRUE(pooled.trace.str() == serial.trace.str())
+      << "the traces differ outside the parked run's chunk";
+}
+
+TEST(RunMatrix, FillerFailureDropsParkedRepeats) {
+  MetricsOn metrics;
+  const auto corpus = fft_corpus();
+  const Cluster cluster = grid5000::grillon();
+  const auto algos = repeated_first_algos();
+  ThreadLog log(corpus.size() * algos.size(), false);
+  {
+    HoldFirstFiller hold(true);
+    EXPECT_THROW(run_experiment(corpus, cluster, algos, 2, &log), Error);
+  }
+  ASSERT_GT(parked_runs(), g_parked_before) << "nothing parked";
+  const std::size_t held = g_held_run;
+  ASSERT_LE(held, 1u);
+  EXPECT_EQ(log.ends[1 - held].load(), 0) << "the parked run ended";
+  EXPECT_EQ(log.ends[held].load(), 0) << "the failed filler ended";
+
+  const ExperimentData want = run_experiment(corpus, cluster, algos, 1);
+  const ExperimentData got = run_experiment(corpus, cluster, algos, 2);
+  for (std::size_t e = 0; e < corpus.size(); ++e)
+    for (std::size_t a = 0; a < algos.size(); ++a)
+      EXPECT_TRUE(same_outcome(got.outcome[e][a], want.outcome[e][a]))
+          << corpus[e].name << " / run " << a;
 }
 
 }  // namespace

@@ -128,6 +128,8 @@ TEST(Redistribution, RejectsEmptyRanks) {
   EXPECT_THROW(Redistribution::plan(10.0, {}, nodes({0})), Error);
   EXPECT_THROW(Redistribution::plan(10.0, nodes({0}), {}), Error);
   EXPECT_THROW(Redistribution::plan(-1.0, nodes({0}), nodes({1})), Error);
+  // The self-communication matching indexes its scratch by node id.
+  EXPECT_THROW(Redistribution::plan(10.0, nodes({0}), nodes({-1})), Error);
 }
 
 // --------------------------------------------------------- properties
