@@ -1,13 +1,13 @@
 // Strassen study: schedule the 25-task Strassen matrix-multiplication
-// workflow on one cluster, then tune the RATS parameters for it with
-// the library's sweep utilities (the per-application tuning of the
-// paper's Section IV-C) and compare naive vs tuned RATS.
+// workflow on one cluster, then tune the RATS parameters for it (the
+// per-application tuning of the paper's Section IV-C, one Table IV
+// cell) and compare naive vs tuned RATS.
 //
 //   $ ./strassen_study [samples] [seed]
 //
 // Demonstrates: corpus building for one family, reference makespans,
-// the (mindelta, maxdelta) and minrho sweeps, and applying tuned
-// parameters.
+// tuning over the paper's (mindelta, maxdelta) and minrho grids, and
+// applying tuned parameters.
 #include <cstdio>
 #include <cstdlib>
 
@@ -27,17 +27,10 @@ int main(int argc, char** argv) {
   std::printf("Strassen corpus: %zu samples on %s\n\n", corpus.size(),
               cluster.name().c_str());
 
-  // Sweep the delta parameters (Figure 4 methodology).
-  const DeltaSweep ds = sweep_delta(corpus, cluster);
-  std::printf("delta sweep: best (mindelta=%.2f, maxdelta=%.2f) -> "
-              "avg %.3f of HCPA\n",
-              ds.best_mindelta, ds.best_maxdelta, ds.best_value);
-
-  // Sweep minrho (Figure 5 methodology).
-  const RhoSweep rs = sweep_rho(corpus, cluster);
-  std::printf("rho sweep:   best minrho=%.2f -> avg %.3f of HCPA "
-              "(packing on)\n\n",
-              rs.best_minrho, rs.best_value);
+  // Tune over the Figure 4 and Figure 5 grids.
+  const TunedParams tuned = tune(corpus, cluster);
+  std::printf("tuned: mindelta=%.2f maxdelta=%.2f minrho=%.2f\n\n",
+              tuned.mindelta, tuned.maxdelta, tuned.minrho);
 
   // Compare naive vs tuned on each sample.
   SchedulerOptions hcpa;
@@ -47,14 +40,8 @@ int main(int argc, char** argv) {
   naive_delta.kind = SchedulerKind::RatsDelta;
 
   SchedulerOptions tuned_delta = naive_delta;
-  tuned_delta.rats.mindelta = ds.best_mindelta;
-  tuned_delta.rats.maxdelta = ds.best_maxdelta;
-
-  SchedulerOptions naive_tc;
-  naive_tc.kind = SchedulerKind::RatsTimeCost;
-
-  SchedulerOptions tuned_tc = naive_tc;
-  tuned_tc.rats.minrho = rs.best_minrho;
+  tuned_delta.rats.mindelta = tuned.mindelta;
+  tuned_delta.rats.maxdelta = tuned.maxdelta;
 
   std::printf("%-28s %10s %12s %12s\n", "sample", "HCPA (s)", "delta naive",
               "delta tuned");

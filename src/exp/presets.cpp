@@ -8,6 +8,10 @@
 
 namespace rats::presets {
 
+namespace {
+
+/// Corpus options implied by the config (full restores the paper's
+/// 3/25 sampling).
 CorpusOptions corpus_options(const CorpusConfig& cfg) {
   CorpusOptions opt;
   opt.seed = cfg.seed;
@@ -20,6 +24,8 @@ CorpusOptions corpus_options(const CorpusConfig& cfg) {
   }
   return opt;
 }
+
+}  // namespace
 
 std::vector<CorpusEntry> make_corpus(const CorpusConfig& cfg,
                                      std::string* announce) {
@@ -123,14 +129,6 @@ std::vector<AlgoSpec> tuned_algos(DagFamily family,
   algos[1].options.rats = tuned;
   algos[2].options.rats = tuned;
   return algos;
-}
-
-ExperimentData run_tuned_experiment(const std::vector<CorpusEntry>& corpus,
-                                    const Cluster& cluster,
-                                    unsigned threads, RunSession* session,
-                                    const SimulatorOptions* base_sim) {
-  return run_tuned_experiments(corpus, {cluster}, threads, session, base_sim)
-      .front();
 }
 
 std::vector<ExperimentData> run_tuned_experiments(

@@ -1,7 +1,5 @@
 #include "exp/tuning.hpp"
 
-#include <limits>
-
 #include "common/error.hpp"
 
 namespace rats {
@@ -40,18 +38,11 @@ std::vector<double> sweep_grid(const std::vector<CorpusEntry>& corpus,
   return averages;
 }
 
-namespace {
-
-/// Fills `sweep`'s grids (an empty list selects the paper grid) and
-/// returns its points in [mindelta][maxdelta] order.
-std::vector<SchedulerOptions> delta_points(DeltaSweep& sweep,
-                                           const std::vector<double>& mindeltas,
-                                           const std::vector<double>& maxdeltas) {
-  sweep.mindeltas = mindeltas.empty() ? tuning_mindeltas() : mindeltas;
-  sweep.maxdeltas = maxdeltas.empty() ? tuning_maxdeltas() : maxdeltas;
+TunedParams tune(const std::vector<CorpusEntry>& corpus,
+                 const Cluster& cluster, unsigned threads) {
   std::vector<SchedulerOptions> points;
-  for (double mindelta : sweep.mindeltas) {
-    for (double maxdelta : sweep.maxdeltas) {
+  for (double mindelta : tuning_mindeltas()) {
+    for (double maxdelta : tuning_maxdeltas()) {
       SchedulerOptions options;
       options.kind = SchedulerKind::RatsDelta;
       options.rats.mindelta = mindelta;
@@ -59,110 +50,23 @@ std::vector<SchedulerOptions> delta_points(DeltaSweep& sweep,
       points.push_back(options);
     }
   }
-  return points;
-}
-
-/// Reads the surface and best cell from the points' averages at `avg`.
-void score_delta(DeltaSweep& sweep, const double* avg) {
-  sweep.best_value = std::numeric_limits<double>::infinity();
-  for (double mindelta : sweep.mindeltas) {
-    std::vector<double> row;
-    for (double maxdelta : sweep.maxdeltas) {
-      const double value = *avg++;
-      row.push_back(value);
-      if (value < sweep.best_value) {
-        sweep.best_value = value;
-        sweep.best_mindelta = mindelta;
-        sweep.best_maxdelta = maxdelta;
-      }
-    }
-    sweep.avg_relative.push_back(std::move(row));
-  }
-}
-
-/// Fills `sweep`'s grid (empty selects the paper grid) and returns its
-/// points, packing on then off for each minrho.
-std::vector<SchedulerOptions> rho_points(RhoSweep& sweep,
-                                         const std::vector<double>& minrhos) {
-  sweep.minrhos = minrhos.empty() ? tuning_minrhos() : minrhos;
-  std::vector<SchedulerOptions> points;
-  for (double minrho : sweep.minrhos) {
-    for (bool packing : {true, false}) {
-      SchedulerOptions options;
-      options.kind = SchedulerKind::RatsTimeCost;
-      options.rats.minrho = minrho;
-      options.rats.packing = packing;
-      points.push_back(options);
-    }
-  }
-  return points;
-}
-
-/// Reads both curves and the best minrho from the averages at `avg`.
-void score_rho(RhoSweep& sweep, const double* avg) {
-  sweep.best_value = std::numeric_limits<double>::infinity();
-  for (double minrho : sweep.minrhos) {
-    for (bool packing : {true, false}) {
-      const double value = *avg++;
-      (packing ? sweep.with_packing : sweep.without_packing).push_back(value);
-      if (packing && value < sweep.best_value) {
-        sweep.best_value = value;
-        sweep.best_minrho = minrho;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-DeltaSweep sweep_delta(const std::vector<CorpusEntry>& corpus,
-                       const Cluster& cluster, unsigned threads) {
-  return sweep_delta(corpus, cluster, {}, {}, threads);
-}
-
-DeltaSweep sweep_delta(const std::vector<CorpusEntry>& corpus,
-                       const Cluster& cluster,
-                       const std::vector<double>& mindeltas,
-                       const std::vector<double>& maxdeltas,
-                       unsigned threads, RunSession* session,
-                       const SimulatorOptions* base_sim) {
-  DeltaSweep sweep;
-  const auto points = delta_points(sweep, mindeltas, maxdeltas);
-  score_delta(sweep, sweep_grid(corpus, cluster, points, threads, session,
-                                base_sim)
-                         .data());
-  return sweep;
-}
-
-RhoSweep sweep_rho(const std::vector<CorpusEntry>& corpus,
-                   const Cluster& cluster, unsigned threads) {
-  return sweep_rho(corpus, cluster, {}, threads);
-}
-
-RhoSweep sweep_rho(const std::vector<CorpusEntry>& corpus,
-                   const Cluster& cluster,
-                   const std::vector<double>& minrhos, unsigned threads,
-                   RunSession* session, const SimulatorOptions* base_sim) {
-  RhoSweep sweep;
-  const auto points = rho_points(sweep, minrhos);
-  score_rho(sweep, sweep_grid(corpus, cluster, points, threads, session,
-                              base_sim)
-                       .data());
-  return sweep;
-}
-
-TunedParams tune(const std::vector<CorpusEntry>& corpus,
-                 const Cluster& cluster, unsigned threads) {
-  DeltaSweep ds;
-  RhoSweep rs;
-  std::vector<SchedulerOptions> points = delta_points(ds, {}, {});
   const std::size_t num_delta = points.size();
-  for (const SchedulerOptions& point : rho_points(rs, {}))
-    points.push_back(point);
+  for (double minrho : tuning_minrhos()) {
+    SchedulerOptions options;
+    options.kind = SchedulerKind::RatsTimeCost;
+    options.rats.minrho = minrho;
+    points.push_back(options);
+  }
   const std::vector<double> avg = sweep_grid(corpus, cluster, points, threads);
-  score_delta(ds, avg.data());
-  score_rho(rs, avg.data() + num_delta);
-  return TunedParams{ds.best_mindelta, ds.best_maxdelta, rs.best_minrho};
+  const auto best = [&](std::size_t begin, std::size_t end) {
+    std::size_t b = begin;
+    for (std::size_t p = begin + 1; p < end; ++p)
+      if (avg[p] < avg[b]) b = p;
+    return points[b].rats;
+  };
+  const RatsParams delta = best(0, num_delta);
+  return TunedParams{delta.mindelta, delta.maxdelta,
+                     best(num_delta, points.size()).minrho};
 }
 
 }  // namespace rats

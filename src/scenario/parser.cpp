@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "obs/span.hpp"
+#include "scenario/registry.hpp"
 
 namespace rats::scenario {
 
@@ -708,7 +709,8 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& filename) {
   ScenarioSpec spec;
   std::vector<ProtoEvent> protos;
   bool have_scenario = false, have_algorithms = false;
-  int algorithms_line = 0, sweep_line = 0;
+  int algorithms_line = 0;
+  const Section* sweep = nullptr;
   // Non-repeatable sections seen so far (name -> first line).
   std::vector<std::pair<std::string, int>> seen;
   for (const Section& s : sections) {
@@ -734,7 +736,7 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& filename) {
     } else if (s.name == "algorithm") {
       bind_algorithm(b, s, spec.algorithms);
     } else if (s.name == "sweep") {
-      sweep_line = s.line;
+      sweep = &s;
       bind_sweep(b, s, spec.sweep);
     } else if (s.name == "events") {
       bind_events(b, s, spec.events);
@@ -756,21 +758,27 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& filename) {
   if (!have_scenario) fail(filename, 1, "missing [scenario] section");
   if (spec.kind.empty())
     fail(filename, 1, "[scenario] section is missing 'kind'");
+  if (sweep != nullptr) {
+    for (const KeyVal& kv : sweep->entries) {
+      const std::string why = unread_sweep_key(spec.kind, kv.key);
+      if (!why.empty()) fail(filename, kv.line, why);
+    }
+  }
   if (spec.kind == "sweep") {
     // The generic sweep kind crosses the [sweep] grids over the base
     // algorithm; an all-empty section has nothing to sweep.
-    if (sweep_line == 0)
+    if (sweep == nullptr)
       fail(filename, 1,
            "kind \"sweep\" needs a [sweep] section with at least one "
            "parameter grid");
     if (spec.sweep.empty())
-      fail(filename, sweep_line,
+      fail(filename, sweep->line,
            "[sweep] must give at least one non-empty grid (mindelta, "
            "maxdelta, minrho, packing, event-factor or event-at) for kind "
            "\"sweep\"");
   }
   if (spec.sweep.sweeps_events() && spec.events.empty())
-    fail(filename, sweep_line != 0 ? sweep_line : 1,
+    fail(filename, sweep != nullptr ? sweep->line : 1,
          "[sweep] has an event axis but the scenario has no [event] "
          "sections to sweep");
   if (spec.name.empty()) spec.name = spec.kind;

@@ -35,7 +35,11 @@
 //                sugar expanding to one event per node; for
 //                link-capacity, cabinet keeps its uplink meaning)
 //   [sweep]      mindelta = [...], maxdelta = [...], minrho = [...],
+//                packing = [true, false], base = "delta" | "time-cost",
 //                event-factor = [...], event-at = [...]
+//                (fig4 reads mindelta and maxdelta, fig5 minrho, sweep
+//                every key; any other key, or a [sweep] key under any
+//                other kind, is an error at its line)
 //   [output]     csv, gantt, report-csv, report-json, trace,
 //                trace-gzip
 //

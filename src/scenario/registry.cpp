@@ -12,6 +12,7 @@
 #include "common/format.hpp"
 #include "common/table.hpp"
 #include "dag/graph_algorithms.hpp"
+#include "exp/parallel.hpp"
 #include "exp/tuning.hpp"
 #include "obs/progress.hpp"
 #include "obs/registry.hpp"
@@ -99,23 +100,27 @@ class OffsetSession final : public RunSession {
   std::size_t offset_;
 };
 
-/// Corpus x algorithms on one cluster — the shared execution of the
-/// figure and generic kinds.  Tuned presets group by family (Table IV
-/// parameters), everything else runs one algo list.  `session`
-/// observes every run: this is the single simulation pass a traced
-/// scenario shares between report and trace.
-ExperimentData run_matrix_experiment(const ScenarioSpec& spec,
-                                     const std::vector<CorpusEntry>& entries,
-                                     const Cluster& cluster,
-                                     RunSession* session) {
-  const TimelineBinding events(spec, {cluster});
+/// Corpus x algorithms on every cluster of `clusters`, as one run
+/// matrix — the shared execution of the figure, generic and ablation
+/// kinds.  Tuned presets group by family (Table IV parameters),
+/// everything else runs one algo list.  `session` observes every run:
+/// this is the single simulation pass a traced scenario shares between
+/// report and trace.
+std::vector<ExperimentData> run_matrix_experiments(
+    const ScenarioSpec& spec, const std::vector<CorpusEntry>& entries,
+    const std::vector<Cluster>& clusters, RunSession* session) {
+  const TimelineBinding events(spec, clusters);
   if (spec.algorithms.tuned())
-    return presets::run_tuned_experiment(entries, cluster, spec.threads,
-                                         session, events.base_sim);
-  return run_experiment(entries, cluster,
-                        spec.algorithms.resolve(DagFamily::Irregular,
-                                                cluster.name()),
-                        spec.threads, session, events.base_sim);
+    return presets::run_tuned_experiments(entries, clusters, spec.threads,
+                                          session, events.base_sim);
+  const auto algos = spec.algorithms.resolve(DagFamily::Irregular,
+                                             clusters.front().name());
+  return run_experiments(
+      entries, clusters,
+      [&](std::size_t, std::size_t) -> const std::vector<AlgoSpec>& {
+        return algos;
+      },
+      spec.threads, session, events.base_sim);
 }
 
 /// One row of the Figures 2, 3, 6 and 7 table.  The four figures run
@@ -151,7 +156,8 @@ void run_figure(const ScenarioSpec& spec, ReportModel& model,
                 RunSession* session) {
   auto corpus = resolve_workload(spec, model);
   Cluster cluster = spec.platform.resolve_one();
-  auto data = run_matrix_experiment(spec, corpus, cluster, session);
+  const auto data = std::move(
+      run_matrix_experiments(spec, corpus, {cluster}, session).front());
   model.heading(strf("%s%s", kFigure.heading, cluster.name().c_str()));
   const bool makespan = kFigure.makespan;
   const char* metric = makespan ? "makespan" : "work";
@@ -179,143 +185,72 @@ void run_figure(const ScenarioSpec& spec, ReportModel& model,
   model.text(kFigure.paper);
 }
 
-void run_fig4(const ScenarioSpec& spec, ReportModel& model,
-              RunSession* session) {
-  auto corpus = resolve_workload(spec, model);
-  Cluster cluster = spec.platform.resolve_one();
-  const TimelineBinding events(spec, {cluster});
-  // Empty [sweep] lists fall back to the paper grids inside sweep_delta.
-  auto sweep = sweep_delta(corpus, cluster, spec.sweep.mindeltas,
-                           spec.sweep.maxdeltas, spec.threads, session,
-                           events.base_sim);
-  model.heading("Figure 4: avg makespan relative to HCPA, RATS-delta, FFT, " +
-                cluster.name());
-  std::vector<Column> columns{text_col("mindelta \\ maxdelta")};
-  for (double mx : sweep.maxdeltas) columns.push_back(num_col(fmt(mx, 2)));
-  TableModel& table = model.table("delta-sweep", std::move(columns));
-  for (std::size_t i = 0; i < sweep.mindeltas.size(); ++i) {
-    std::vector<Cell> row{cell(sweep.mindeltas[i], fmt(sweep.mindeltas[i], 2))};
-    for (std::size_t j = 0; j < sweep.maxdeltas.size(); ++j)
-      row.push_back(
-          cell(sweep.avg_relative[i][j], fmt(sweep.avg_relative[i][j], 3)));
-    table.rows.push_back(std::move(row));
+/// One axis of a sweep grid.
+struct Axis {
+  const char* field;  ///< its [sweep] key
+  std::vector<double> values;
+  bool is_flag = false;   ///< packing: render true/false, not numbers
+  bool is_event = false;  ///< rewrites the [events] timeline, not RatsParams
+
+  std::string text(double v) const {
+    return is_flag ? (v != 0.0 ? "true" : "false") : fmt(v, 2);
   }
-  model.scalar("best/mindelta", sweep.best_mindelta);
-  model.scalar("best/maxdelta", sweep.best_maxdelta);
-  model.scalar("best/avg-relative-makespan", sweep.best_value);
-  model.textf("\n  best: mindelta=%s maxdelta=%s -> %s\n",
-              fmt(sweep.best_mindelta, 2).c_str(),
-              fmt(sweep.best_maxdelta, 2).c_str(),
-              fmt(sweep.best_value, 3).c_str());
-  model.text(
-      "  paper: larger maxdelta improves the relative makespan; lowering\n"
-      "  mindelta helps only to a certain extent (Table IV picks (-.5, 1)).\n");
-}
+};
 
-void run_fig5(const ScenarioSpec& spec, ReportModel& model,
-              RunSession* session) {
-  auto corpus = resolve_workload(spec, model);
-  Cluster cluster = spec.platform.resolve_one();
-  const TimelineBinding events(spec, {cluster});
-  auto sweep = sweep_rho(corpus, cluster, spec.sweep.minrhos, spec.threads,
-                         session, events.base_sim);
-  model.heading(
-      "Figure 5: avg makespan relative to HCPA, RATS-time-cost, irregular, " +
-      cluster.name());
-  TableModel& table = model.table(
-      "rho-sweep",
-      {num_col("minrho"), num_col("packing allowed"), num_col("no packing")});
-  for (std::size_t i = 0; i < sweep.minrhos.size(); ++i)
-    table.rows.push_back(
-        {cell(sweep.minrhos[i], fmt(sweep.minrhos[i], 2)),
-         cell(sweep.with_packing[i], fmt(sweep.with_packing[i], 3)),
-         cell(sweep.without_packing[i], fmt(sweep.without_packing[i], 3))});
-  model.scalar("best/minrho", sweep.best_minrho);
-  model.scalar("best/avg-relative-makespan", sweep.best_value);
-  model.textf("\n  best (packing allowed): minrho=%s -> %s\n",
-              fmt(sweep.best_minrho, 2).c_str(),
-              fmt(sweep.best_value, 3).c_str());
-  model.text(
-      "  paper: packing gives better performance at every minrho; the\n"
-      "  curve flattens beyond a threshold (0.5 on grillon).\n");
-}
-
-/// The generic sweep kind: a grid over any RatsParams fields, applied
-/// to a base algorithm, scored against a fresh HCPA reference.  fig4
-/// and fig5 keep their own runners: their pivot tables (mindelta x
-/// maxdelta, minrho x packing) are not this kind's one-row-per-point
-/// layout.
-void run_sweep(const ScenarioSpec& spec, ReportModel& model,
-               RunSession* session) {
-  struct Axis {
-    const char* field;
-    std::vector<double> values;
-    bool is_flag;   ///< packing: render true/false instead of numbers
-    bool is_event;  ///< rewrites the [events] timeline, not RatsParams
-  };
-  // Event axes first: they vary slowest in the mixed-radix decode, so
-  // each event point runs the whole scheduler grid as one batch.
+/// A scored sweep grid: the average relative makespan of every point,
+/// last axis fastest.
+struct Grid {
   std::vector<Axis> axes;
-  if (!spec.sweep.event_factors.empty())
-    axes.push_back({"event-factor", spec.sweep.event_factors, false, true});
-  if (!spec.sweep.event_ats.empty())
-    axes.push_back({"event-at", spec.sweep.event_ats, false, true});
-  RATS_REQUIRE(!spec.sweep.sweeps_events() || !spec.events.empty(),
-               "[sweep] event axes need a non-empty [events] timeline");
-  if (!spec.sweep.mindeltas.empty())
-    axes.push_back({"mindelta", spec.sweep.mindeltas, false, false});
-  if (!spec.sweep.maxdeltas.empty())
-    axes.push_back({"maxdelta", spec.sweep.maxdeltas, false, false});
-  if (!spec.sweep.minrhos.empty())
-    axes.push_back({"minrho", spec.sweep.minrhos, false, false});
-  if (!spec.sweep.packings.empty()) {
-    Axis packing{"packing", {}, true, false};
-    for (const bool p : spec.sweep.packings)
-      packing.values.push_back(p ? 1.0 : 0.0);
-    axes.push_back(std::move(packing));
+  std::vector<double> avg;
+  std::string cluster;
+
+  /// The value of axis `k` at point `p` (mixed-radix decode); the one
+  /// decoder keeps the simulated options, the table rows and the best
+  /// point in lockstep.
+  double at(std::size_t p, std::size_t k) const {
+    for (std::size_t j = axes.size(); --j > k;) p /= axes[j].values.size();
+    return axes[k].values[p % axes[k].values.size()];
   }
-  RATS_REQUIRE(!axes.empty(),
-               "kind \"sweep\" needs at least one non-empty [sweep] grid");
+  /// The first point with the lowest average among points 0, step,
+  /// 2 * step, ...
+  std::size_t best(std::size_t step = 1) const {
+    std::size_t b = 0;
+    for (std::size_t p = step; p < avg.size(); p += step)
+      if (avg[p] < avg[b]) b = p;
+    return b;
+  }
+};
 
+/// The one sweep runner, behind fig4, fig5 and the generic sweep kind.
+/// Every grid point overrides exactly its swept fields of `base` and is
+/// scored against a fresh HCPA reference.  Event axes come first: they
+/// vary slowest, so each event point runs the whole scheduler grid as
+/// one sweep_grid batch.
+Grid run_grid(const ScenarioSpec& spec, std::vector<Axis> axes,
+              const SchedulerOptions& base, ReportModel& model,
+              RunSession* session) {
   auto corpus = resolve_workload(spec, model);
-  Cluster cluster = spec.platform.resolve_one();
-
-  // The base algorithm is the paper's naive preset of that strategy;
-  // each grid point overrides exactly the swept fields.
-  const auto naive = presets::naive_algos();
-  const SchedulerOptions& base =
-      spec.sweep.base == "time-cost" ? naive[2].options : naive[1].options;
-
+  const Cluster cluster = spec.platform.resolve_one();
+  Grid grid{std::move(axes), {}, cluster.name()};
   std::size_t total = 1;
-  for (const Axis& axis : axes) total *= axis.values.size();
   std::size_t event_total = 1;
-  for (const Axis& axis : axes)
+  for (const Axis& axis : grid.axes) {
+    total *= axis.values.size();
     if (axis.is_event) event_total *= axis.values.size();
+  }
   const std::size_t sched_total = total / event_total;
 
-  // Mixed-radix decode of point index -> per-axis value (last axis
-  // fastest); the single decoder keeps the simulated options, the
-  // table rows and the best-point report in lockstep.
-  std::vector<std::size_t> pick(axes.size(), 0);
-  const auto decode = [&](std::size_t p) {
-    std::size_t rest = p;
-    for (std::size_t k = axes.size(); k-- > 0;) {
-      pick[k] = rest % axes[k].values.size();
-      rest /= axes[k].values.size();
-    }
-  };
   // Scheduler points only: decoding p < sched_total keeps every event
   // axis at index 0 while walking the scheduler axes in full-grid
   // order, so one point list serves every event point.
   std::vector<SchedulerOptions> points;
   points.reserve(sched_total);
   for (std::size_t p = 0; p < sched_total; ++p) {
-    decode(p);
     SchedulerOptions options = base;
-    for (std::size_t k = 0; k < axes.size(); ++k) {
-      if (axes[k].is_event) continue;
-      const double v = axes[k].values[pick[k]];
-      const std::string field = axes[k].field;
+    for (std::size_t k = 0; k < grid.axes.size(); ++k) {
+      if (grid.axes[k].is_event) continue;
+      const double v = grid.at(p, k);
+      const std::string field = grid.axes[k].field;
       if (field == "mindelta") options.rats.mindelta = v;
       else if (field == "maxdelta") options.rats.maxdelta = v;
       else if (field == "minrho") options.rats.minrho = v;
@@ -324,86 +259,180 @@ void run_sweep(const ScenarioSpec& spec, ReportModel& model,
     points.push_back(options);
   }
 
-  std::vector<double> avg;
-  avg.reserve(total);
   if (event_total == 1) {
     // No event axes: a fixed timeline (when [events] is present) seeds
     // every run; healthy sweeps take the pre-timeline path verbatim.
     const TimelineBinding events(spec, {cluster});
-    avg = sweep_grid(corpus, cluster, points, spec.threads, session,
-                     events.base_sim);
-  } else {
-    // One grid batch per event point under one outer matrix.  Each
-    // event-axis value rewrites the whole timeline — event-factor the
-    // factor of every capacity/slowdown event, event-at the time of
-    // every event — then the rewritten timeline degrades sweep point
-    // and HCPA reference alike.
-    if (session)
-      session->begin_matrix(event_total * corpus.size() * (sched_total + 1));
-    for (std::size_t ev = 0; ev < event_total; ++ev) {
-      decode(ev * sched_total);
-      PlatformTimeline tl = spec.events.resolve(cluster, spec.origin);
-      for (std::size_t k = 0; k < axes.size(); ++k) {
-        if (!axes[k].is_event) continue;
-        const double v = axes[k].values[pick[k]];
-        if (std::string(axes[k].field) == "event-factor") {
-          for (PlatformEvent& e : tl.events)
-            if (e.kind == PlatformEventKind::LinkCapacity ||
-                e.kind == PlatformEventKind::NodeSlowdown)
-              e.factor = v;
-        } else {
-          for (PlatformEvent& e : tl.events) e.at = v;
-        }
-      }
-      tl.sort();
-      tl.validate(cluster, spec.origin);
-      SimulatorOptions sim;
-      sim.timeline = &tl;
-      OffsetSession offset(session, ev * corpus.size() * (sched_total + 1));
-      const auto part = sweep_grid(corpus, cluster, points, spec.threads,
-                                   session ? &offset : nullptr, &sim);
-      avg.insert(avg.end(), part.begin(), part.end());
-    }
+    grid.avg = sweep_grid(corpus, cluster, points, spec.threads, session,
+                          events.base_sim);
+    return grid;
   }
+  // One grid batch per event point under one outer matrix.  Each
+  // event-axis value rewrites the whole timeline — event-factor the
+  // factor of every capacity/slowdown event, event-at the time of
+  // every event — then the rewritten timeline degrades sweep point and
+  // HCPA reference alike.
+  if (session)
+    session->begin_matrix(event_total * corpus.size() * (sched_total + 1));
+  grid.avg.reserve(total);
+  for (std::size_t ev = 0; ev < event_total; ++ev) {
+    PlatformTimeline tl = spec.events.resolve(cluster, spec.origin);
+    for (std::size_t k = 0; k < grid.axes.size(); ++k) {
+      if (!grid.axes[k].is_event) continue;
+      const double v = grid.at(ev * sched_total, k);
+      if (std::string(grid.axes[k].field) == "event-factor") {
+        for (PlatformEvent& e : tl.events)
+          if (e.kind == PlatformEventKind::LinkCapacity ||
+              e.kind == PlatformEventKind::NodeSlowdown)
+            e.factor = v;
+      } else {
+        for (PlatformEvent& e : tl.events) e.at = v;
+      }
+    }
+    tl.sort();
+    tl.validate(cluster, spec.origin);
+    SimulatorOptions sim;
+    sim.timeline = &tl;
+    OffsetSession offset(session, ev * corpus.size() * (sched_total + 1));
+    const auto part = sweep_grid(corpus, cluster, points, spec.threads,
+                                 session ? &offset : nullptr, &sim);
+    grid.avg.insert(grid.avg.end(), part.begin(), part.end());
+  }
+  return grid;
+}
 
+/// The base algorithm of a sweep: the paper's naive preset of that RATS
+/// strategy ("delta" or "time-cost").
+SchedulerOptions sweep_base(const std::string& strategy) {
+  return presets::naive_algos()[strategy == "time-cost" ? 2 : 1].options;
+}
+
+/// A two-axis grid's pivot rows: axis 0 down, axis 1 across.
+void pivot_rows(const Grid& grid, TableModel& table) {
+  const std::size_t across = grid.axes[1].values.size();
+  for (std::size_t i = 0; i < grid.axes[0].values.size(); ++i) {
+    const double v = grid.axes[0].values[i];
+    std::vector<Cell> row{cell(v, fmt(v, 2))};
+    for (std::size_t j = 0; j < across; ++j) {
+      const double a = grid.avg[i * across + j];
+      row.push_back(cell(a, fmt(a, 3)));
+    }
+    table.rows.push_back(std::move(row));
+  }
+}
+
+/// The best point's scalars and line: each axis value, then the metric.
+void report_best(const Grid& grid, std::size_t best, ReportModel& model) {
+  std::string text = "\n  best:";
+  for (std::size_t k = 0; k < grid.axes.size(); ++k) {
+    const double v = grid.at(best, k);
+    model.scalar(std::string("best/") + grid.axes[k].field, v);
+    text += std::string(" ") + grid.axes[k].field + "=" + grid.axes[k].text(v);
+  }
+  model.scalar("best/avg-relative-makespan", grid.avg[best]);
+  model.text(text + " -> " + fmt(grid.avg[best], 3) + "\n");
+}
+
+/// An omitted fig4/fig5 grid is the paper's.
+std::vector<double> or_paper(const std::vector<double>& grid,
+                             std::vector<double> (*paper)()) {
+  return grid.empty() ? paper() : grid;
+}
+
+void run_fig4(const ScenarioSpec& spec, ReportModel& model,
+              RunSession* session) {
+  const Grid grid = run_grid(
+      spec,
+      {{"mindelta", or_paper(spec.sweep.mindeltas, tuning_mindeltas)},
+       {"maxdelta", or_paper(spec.sweep.maxdeltas, tuning_maxdeltas)}},
+      sweep_base("delta"), model, session);
+  model.heading("Figure 4: avg makespan relative to HCPA, RATS-delta, FFT, " +
+                grid.cluster);
+  std::vector<Column> columns{text_col("mindelta \\ maxdelta")};
+  for (double mx : grid.axes[1].values) columns.push_back(num_col(fmt(mx, 2)));
+  pivot_rows(grid, model.table("delta-sweep", std::move(columns)));
+  report_best(grid, grid.best(), model);
+  model.text(
+      "  paper: larger maxdelta improves the relative makespan; lowering\n"
+      "  mindelta helps only to a certain extent (Table IV picks (-.5, 1)).\n");
+}
+
+void run_fig5(const ScenarioSpec& spec, ReportModel& model,
+              RunSession* session) {
+  const Grid grid = run_grid(
+      spec,
+      {{"minrho", or_paper(spec.sweep.minrhos, tuning_minrhos)},
+       {"packing", {1.0, 0.0}, true}},
+      sweep_base("time-cost"), model, session);
+  model.heading(
+      "Figure 5: avg makespan relative to HCPA, RATS-time-cost, irregular, " +
+      grid.cluster);
+  pivot_rows(grid, model.table("rho-sweep", {num_col("minrho"),
+                                             num_col("packing allowed"),
+                                             num_col("no packing")}));
+  // Packing (true, false) is the fastest axis: every second point, from
+  // the first, allows packing.
+  const std::size_t best = grid.best(2);
+  model.scalar("best/minrho", grid.at(best, 0));
+  model.scalar("best/avg-relative-makespan", grid.avg[best]);
+  model.textf("\n  best (packing allowed): minrho=%s -> %s\n",
+              fmt(grid.at(best, 0), 2).c_str(),
+              fmt(grid.avg[best], 3).c_str());
+  model.text(
+      "  paper: packing gives better performance at every minrho; the\n"
+      "  curve flattens beyond a threshold (0.5 on grillon).\n");
+}
+
+/// The generic sweep kind: a grid over any RatsParams fields and event
+/// parameters, one table row per point.
+void run_sweep(const ScenarioSpec& spec, ReportModel& model,
+               RunSession* session) {
+  std::vector<Axis> axes;
+  if (!spec.sweep.event_factors.empty())
+    axes.push_back({"event-factor", spec.sweep.event_factors, false, true});
+  if (!spec.sweep.event_ats.empty())
+    axes.push_back({"event-at", spec.sweep.event_ats, false, true});
+  RATS_REQUIRE(!spec.sweep.sweeps_events() || !spec.events.empty(),
+               "[sweep] event axes need a non-empty [events] timeline");
+  if (!spec.sweep.mindeltas.empty())
+    axes.push_back({"mindelta", spec.sweep.mindeltas});
+  if (!spec.sweep.maxdeltas.empty())
+    axes.push_back({"maxdelta", spec.sweep.maxdeltas});
+  if (!spec.sweep.minrhos.empty())
+    axes.push_back({"minrho", spec.sweep.minrhos});
+  if (!spec.sweep.packings.empty())
+    axes.push_back({"packing",
+                    {spec.sweep.packings.begin(), spec.sweep.packings.end()},
+                    true});
+  RATS_REQUIRE(!axes.empty(),
+               "kind \"sweep\" needs at least one non-empty [sweep] grid");
+
+  const Grid grid = run_grid(spec, std::move(axes),
+                             sweep_base(spec.sweep.base), model, session);
   std::string fields;
-  for (std::size_t k = 0; k < axes.size(); ++k)
-    fields += std::string(k ? " x " : "") + axes[k].field;
+  for (std::size_t k = 0; k < grid.axes.size(); ++k)
+    fields += std::string(k ? " x " : "") + grid.axes[k].field;
   model.heading(strf("Sweep '%s': %zu points over %s, RATS-%s, %s",
-                     spec.name.c_str(), total, fields.c_str(),
-                     spec.sweep.base.c_str(), cluster.name().c_str()));
+                     spec.name.c_str(), grid.avg.size(), fields.c_str(),
+                     spec.sweep.base.c_str(), grid.cluster.c_str()));
 
   std::vector<Column> columns;
-  for (const Axis& axis : axes)
+  for (const Axis& axis : grid.axes)
     columns.push_back(axis.is_flag ? text_col(axis.field)
                                    : num_col(axis.field));
   columns.push_back(num_col("avg relative makespan"));
   TableModel& table = model.table("sweep", std::move(columns));
-  std::size_t best = 0;
-  for (std::size_t p = 0; p < total; ++p) {
-    decode(p);
+  for (std::size_t p = 0; p < grid.avg.size(); ++p) {
     std::vector<Cell> row;
-    for (std::size_t k = 0; k < axes.size(); ++k) {
-      const double v = axes[k].values[pick[k]];
-      row.push_back(axes[k].is_flag ? cell(v != 0.0 ? "true" : "false")
-                                    : cell(v, fmt(v, 2)));
+    for (std::size_t k = 0; k < grid.axes.size(); ++k) {
+      const double v = grid.at(p, k);
+      row.push_back(grid.axes[k].is_flag ? cell(grid.axes[k].text(v))
+                                         : cell(v, fmt(v, 2)));
     }
-    row.push_back(cell(avg[p], fmt(avg[p], 3)));
+    row.push_back(cell(grid.avg[p], fmt(grid.avg[p], 3)));
     table.rows.push_back(std::move(row));
-    if (avg[p] < avg[best]) best = p;
   }
-
-  decode(best);
-  std::string best_text = "\n  best:";
-  for (std::size_t k = 0; k < axes.size(); ++k) {
-    const double v = axes[k].values[pick[k]];
-    model.scalar(std::string("best/") + axes[k].field, v);
-    best_text += std::string(" ") + axes[k].field + "=" +
-                 (axes[k].is_flag ? (v != 0.0 ? "true" : "false") : fmt(v, 2));
-  }
-  model.scalar("best/avg-relative-makespan", avg[best]);
-  best_text += " -> " + fmt(avg[best], 3) + "\n";
-  model.text(std::move(best_text));
+  report_best(grid, grid.best(), model);
 }
 
 void redist_matrix_table(const Redistribution& r, Bytes unit,
@@ -779,7 +808,8 @@ void run_experiment_kind(const ScenarioSpec& spec, ReportModel& model,
                          RunSession* session) {
   auto corpus = resolve_workload(spec, model);
   Cluster cluster = spec.platform.resolve_one();
-  auto data = run_matrix_experiment(spec, corpus, cluster, session);
+  const auto data = std::move(
+      run_matrix_experiments(spec, corpus, {cluster}, session).front());
   model.heading("Scenario '" + spec.name + "': " + cluster.name() + ", " +
                 std::to_string(data.entries()) + " workloads x " +
                 std::to_string(data.algos()) + " algorithms");
@@ -914,6 +944,135 @@ void run_single(const ScenarioSpec& spec, ReportModel& model,
   }
 }
 
+// ---- ablations ----------------------------------------------------------
+
+/// Section II-C: the allocation procedures feeding the same mapper, on
+/// every listed cluster, against the first algorithm (HCPA).
+void run_ablation_allocation(const ScenarioSpec& spec, ReportModel& model,
+                             RunSession* session) {
+  const auto clusters = spec.platform.resolve();
+  RATS_REQUIRE(spec.algorithms.resolve(DagFamily::Irregular,
+                                       clusters.front().name())
+                       .front()
+                       .options.kind == SchedulerKind::Hcpa,
+               "kind \"ablation_allocation\" compares against its first "
+               "algorithm, which must be kind \"hcpa\"");
+  auto corpus = resolve_workload(spec, model);
+  model.heading("Ablation: allocation procedure feeding the same mapper");
+  for (const Cluster& cluster : clusters)
+    model.textf("  running corpus on %s...\n", cluster.name().c_str());
+  const auto per_cluster =
+      run_matrix_experiments(spec, corpus, clusters, session);
+  TableModel& table = model.table(
+      "allocation", {text_col("cluster"), text_col("algorithm"),
+                     num_col("avg relative makespan vs HCPA"),
+                     num_col("best in (combined)")});
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    const ExperimentData& data = per_cluster[c];
+    for (std::size_t a = 0; a < data.algos(); ++a) {
+      const auto s =
+          summarize_relative(relative_series(data, a, 0, /*makespan=*/true));
+      const auto comb = combined_compare(data, a);
+      table.rows.push_back({cell(a == 0 ? clusters[c].name() : ""),
+                            cell(data.algo_names[a]),
+                            cell(s.mean_ratio, fmt(s.mean_ratio, 3)),
+                            cell(comb.better, fmt_percent(comb.better, 1))});
+    }
+  }
+  model.text(
+      "\n  expectation (prior work, N'takpe et al.): HCPA at least as good\n"
+      "  as CPA overall; MCPA competitive on regular/layered DAGs only.\n");
+}
+
+/// Section III-C: the RATS secondary ready-list sort.  The algorithm
+/// list is HCPA, k strategies, then the same k strategies with
+/// `secondary-sort = false`; strategy a is compared with a + k.
+void run_ablation_sort(const ScenarioSpec& spec, ReportModel& model,
+                       RunSession* session) {
+  const Cluster cluster = spec.platform.resolve_one();
+  const auto algos =
+      spec.algorithms.resolve(DagFamily::Irregular, cluster.name());
+  const std::size_t k = (algos.size() - 1) / 2;
+  bool shaped = algos.size() >= 3 && algos.size() % 2 == 1 &&
+                algos[0].options.kind == SchedulerKind::Hcpa;
+  for (std::size_t a = 1; shaped && a <= k; ++a)
+    shaped = algos[a + k].options.kind == algos[a].options.kind &&
+             algos[a].options.secondary_sort &&
+             !algos[a + k].options.secondary_sort;
+  RATS_REQUIRE(shaped,
+               "kind \"ablation_sort\" needs HCPA, k strategies, then the "
+               "same k strategies with secondary-sort = false");
+  auto corpus = resolve_workload(spec, model);
+  const auto data = std::move(
+      run_matrix_experiments(spec, corpus, {cluster}, session).front());
+  model.heading("Ablation: RATS secondary ready-list sort, " + cluster.name());
+  TableModel& table = model.table(
+      "secondary-sort", {text_col("strategy"), num_col("avg relative makespan"),
+                         num_col("shorter than HCPA in")});
+  for (std::size_t a = 1; a < data.algos(); ++a) {
+    const auto s =
+        summarize_relative(relative_series(data, a, 0, /*makespan=*/true));
+    table.rows.push_back(
+        {cell(data.algo_names[a]), cell(s.mean_ratio, fmt(s.mean_ratio, 3)),
+         cell(s.fraction_better, fmt_percent(s.fraction_better, 1))});
+  }
+  for (std::size_t a = 1; a <= k; ++a) {
+    const auto c = pairwise_compare(data, a, a + k);
+    model.textf("  %s with sort vs without: better %d, equal %d, worse %d\n",
+                data.algo_names[a].c_str(), c.better, c.equal, c.worse);
+  }
+}
+
+/// Section IV-D: every schedule simulated with and without network
+/// contention, quantifying how much contention inflates makespans.
+void run_ablation_contention(const ScenarioSpec& spec, ReportModel& model,
+                             RunSession*) {
+  auto corpus = resolve_workload(spec, model);
+  const Cluster cluster = spec.platform.resolve_one();
+  model.heading("Ablation: contention vs contention-free simulation, " +
+                cluster.name());
+  TableModel& table = model.table(
+      "contention", {text_col("algorithm"),
+                     num_col("avg makespan inflation by contention"),
+                     num_col("avg net bytes / DAG"), num_col("max inflation")});
+  const auto names = spec.algorithms.names();
+  const auto n = static_cast<double>(corpus.size());
+  for (std::size_t a = 0; a < names.size(); ++a) {
+    std::vector<double> inflation(corpus.size());
+    std::vector<double> bytes(corpus.size());
+    parallel_for(
+        corpus.size(),
+        [&](std::size_t i) {
+          const TaskGraph& graph = corpus[i].graph;
+          const Schedule schedule = build_schedule(
+              graph, cluster,
+              spec.algorithms.resolve(corpus[i].family, cluster.name())[a]
+                  .options);
+          SimulatorOptions without;
+          without.contention = false;
+          const SimulationResult with = simulate(graph, schedule, cluster);
+          inflation[i] =
+              with.makespan /
+              simulate(graph, schedule, cluster, without).makespan;
+          bytes[i] = with.network_bytes;
+        },
+        spec.threads);
+    double sum = 0, max = 0, byte_sum = 0;
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      sum += inflation[i];
+      max = std::max(max, inflation[i]);
+      byte_sum += bytes[i];
+    }
+    table.rows.push_back(
+        {cell(names[a]), cell(sum / n, fmt(sum / n, 3)),
+         cell(byte_sum / n / 1e9, fmt(byte_sum / n / 1e9, 2) + " GB"),
+         cell(max, fmt(max, 3))});
+  }
+  model.text(
+      "\n  expectation: RATS schedules move fewer bytes (redistributions\n"
+      "  avoided), so contention inflates them less than HCPA's.\n");
+}
+
 // ---- registry ----------------------------------------------------------
 
 struct KindEntry {
@@ -925,25 +1084,31 @@ struct KindEntry {
   /// meaningless) reject specs carrying one instead of silently
   /// reporting healthy numbers for a degraded scenario.
   bool consumes_events;
+  /// The [sweep] keys the kind reads ("*": every key).  A spec giving
+  /// any other key is rejected before it runs (see unread_sweep_key).
+  const char* sweep_keys;
 };
 
 constexpr KindEntry kKinds[] = {
-    {"fig2", run_figure<kFig2>, true, true},
-    {"fig3", run_figure<kFig3>, true, true},
-    {"fig4", run_fig4, true, true},
-    {"fig5", run_fig5, true, true},
-    {"fig6", run_figure<kFig6>, true, true},
-    {"fig7", run_figure<kFig7>, true, true},
-    {"table1", run_table1, false, false},
-    {"table2", run_table2, false, false},
-    {"table3", run_table3, false, false},
-    {"table4", run_table4, false, false},
-    {"table5", run_table5, true, true},
-    {"table6", run_table6, true, true},
-    {"experiment", run_experiment_kind, true, true},
-    {"single", run_single, true, true},
-    {"sweep", run_sweep, true, true},
-    {"robustness", run_robustness, true, true},
+    {"fig2", run_figure<kFig2>, true, true, ""},
+    {"fig3", run_figure<kFig3>, true, true, ""},
+    {"fig4", run_fig4, true, true, "mindelta, maxdelta"},
+    {"fig5", run_fig5, true, true, "minrho"},
+    {"fig6", run_figure<kFig6>, true, true, ""},
+    {"fig7", run_figure<kFig7>, true, true, ""},
+    {"table1", run_table1, false, false, ""},
+    {"table2", run_table2, false, false, ""},
+    {"table3", run_table3, false, false, ""},
+    {"table4", run_table4, false, false, ""},
+    {"table5", run_table5, true, true, ""},
+    {"table6", run_table6, true, true, ""},
+    {"experiment", run_experiment_kind, true, true, ""},
+    {"single", run_single, true, true, ""},
+    {"sweep", run_sweep, true, true, "*"},
+    {"robustness", run_robustness, true, true, ""},
+    {"ablation_allocation", run_ablation_allocation, true, true, ""},
+    {"ablation_sort", run_ablation_sort, true, true, ""},
+    {"ablation_contention", run_ablation_contention, false, false, ""},
 };
 
 const KindEntry* find_kind(const std::string& kind) {
@@ -1058,6 +1223,10 @@ ReportModel build_with(const KindEntry& entry, const ScenarioSpec& spec,
   RATS_REQUIRE(spec.events.empty() || entry.consumes_events,
                "scenario kind '" + spec.kind +
                    "' does not consume an [events] timeline");
+  for (const std::string& key : spec.sweep.keys()) {
+    const std::string why = unread_sweep_key(spec.kind, key);
+    RATS_REQUIRE(why.empty(), why);
+  }
   ReportModel model;
   model.name = spec.name;
   model.kind = spec.kind;
@@ -1112,6 +1281,17 @@ std::vector<std::string> kinds() {
 bool kind_supports_trace(const std::string& kind) {
   const KindEntry* entry = find_kind(kind);
   return entry != nullptr && entry->traceable;
+}
+
+std::string unread_sweep_key(const std::string& kind, const std::string& key) {
+  const KindEntry* entry = find_kind(kind);
+  if (entry == nullptr) return "";  // the unknown kind is the error
+  const std::string reads = entry->sweep_keys;
+  if (reads == "*" ||
+      (", " + reads + ", ").find(", " + key + ", ") != std::string::npos)
+    return "";
+  return "kind \"" + kind + "\" does not read [sweep] key '" + key + "' (" +
+         (reads.empty() ? "it reads none" : "it reads " + reads) + ")";
 }
 
 report::ReportModel build_report(const ScenarioSpec& spec,

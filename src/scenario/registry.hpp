@@ -8,6 +8,7 @@
 //                            of one figure table: heading, metric,
 //                            paper note)
 //   fig4 fig5                the paper's parameter sweep pivot tables
+//                            (layouts over the sweep kind's runner)
 //   table1 table2 table3     static/structural reports
 //   table4                   full tuning sweeps (Table IV)
 //   table5 table6            tuned multi-cluster comparisons
@@ -15,12 +16,15 @@
 //   single                   per-task timeline of each workload entry
 //   sweep                    generic grid over any RatsParams field
 //   robustness               healthy vs [events]-degraded comparison
+//   ablation_allocation      CPA/MCPA/HCPA allocations, same mapper
+//   ablation_sort            RATS with and without its secondary sort
+//   ablation_contention      each schedule with and without contention
 //
 // Execution and rendering are separated: `build_report` executes the
 // scenario's run matrix exactly once and returns the model; `run`
 // renders the model to stdout (text) and to the [output] artefacts
-// (CSV/JSON report files, streamed trace).  The matrix kinds (fig2/3/
-// 6/7, experiment, single, sweep) are *traceable*: the RunSession hook
+// (CSV/JSON report files, streamed trace).  The matrix kinds (all but
+// table1-4 and ablation_contention) are *traceable*: the RunSession hook
 // (exp/session.hpp) attaches a per-run TraceSink inside that single
 // pass, so `rats run --trace` never re-simulates — the trace streams
 // through trace/writer.hpp while the report data accumulates.
@@ -65,6 +69,10 @@ std::vector<std::string> kinds();
 
 /// True when `kind` exists and supports trace capture.
 bool kind_supports_trace(const std::string& kind);
+
+/// Empty when `kind` reads the [sweep] key `key` (or is unknown), else
+/// the error naming the keys it does read.
+std::string unread_sweep_key(const std::string& kind, const std::string& key);
 
 /// Executes the scenario's run matrix once and returns the structured
 /// report.  `session`, when given, observes every (entry, algorithm)

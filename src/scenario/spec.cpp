@@ -73,22 +73,12 @@ std::vector<CorpusEntry> WorkloadSpec::resolve(std::string* announce) const {
   std::vector<CorpusEntry> entries;
   switch (source) {
     case Source::Corpus:
-      entries = build_corpus(presets::corpus_options(corpus));
-      if (announce)
-        *announce += strf("corpus: %zu configurations (%s)\n", entries.size(),
-                          corpus.full ? "paper scale"
-                                      : "reduced scale; use --full for 557");
+      entries = presets::make_corpus(corpus, announce);
       break;
-    case Source::Family: {
-      const DagFamily fam = family_from_name(family);
-      entries = build_family(fam, presets::corpus_options(corpus));
-      if (announce)
-        *announce +=
-            strf("corpus: %zu %s configurations (%s)\n", entries.size(),
-                 to_string(fam).c_str(),
-                 corpus.full ? "paper scale" : "reduced scale; use --full");
+    case Source::Family:
+      entries =
+          presets::make_family(family_from_name(family), corpus, announce);
       break;
-    }
     case Source::Generate: {
       const DagFamily fam = family_from_name(generator);
       RATS_REQUIRE(count > 0, "generated workload needs count >= 1");
@@ -160,6 +150,18 @@ std::vector<std::string> AlgorithmsSpec::names() const {
   }
   for (const AlgoSpec& a : algos) names.push_back(a.name);
   return names;
+}
+
+std::vector<std::string> SweepSpec::keys() const {
+  std::vector<std::string> keys;
+  if (base != "delta") keys.emplace_back("base");
+  if (!mindeltas.empty()) keys.emplace_back("mindelta");
+  if (!maxdeltas.empty()) keys.emplace_back("maxdelta");
+  if (!minrhos.empty()) keys.emplace_back("minrho");
+  if (!packings.empty()) keys.emplace_back("packing");
+  if (!event_factors.empty()) keys.emplace_back("event-factor");
+  if (!event_ats.empty()) keys.emplace_back("event-at");
+  return keys;
 }
 
 PlatformTimeline EventsSpec::resolve(const Cluster& cluster,

@@ -89,12 +89,11 @@ struct AlgorithmsSpec {
   std::vector<std::string> names() const;
 };
 
-/// Sweep section: parameter grids for the sweep kinds.  fig4/fig5 read
-/// their grids from here (empty lists fall back to the paper's grids);
-/// the generic `kind = "sweep"` crosses every non-empty grid over
-/// `base` (any RatsParams field on any workload source — fig4 runs its
-/// (mindelta, maxdelta) x delta grid, fig5 its (minrho, packing) x
-/// time-cost grid, each printed as a pivot table by its own runner).
+/// Sweep section: parameter grids for the sweep kinds.  fig4 reads
+/// mindelta and maxdelta, fig5 minrho (an empty list is the paper's
+/// grid); the generic `kind = "sweep"` crosses every non-empty grid
+/// over `base`.  All three run one grid runner (scenario/registry.cpp);
+/// fig4 and fig5 print it as the paper's pivot tables.
 struct SweepSpec {
   std::vector<double> mindeltas;
   std::vector<double> maxdeltas;
@@ -117,6 +116,8 @@ struct SweepSpec {
   bool sweeps_events() const {
     return !event_factors.empty() || !event_ats.empty();
   }
+  /// The keys this section gives ("base" when it is not "delta").
+  std::vector<std::string> keys() const;
 };
 
 /// Events section: the fault-injection timeline ([events] policy plus

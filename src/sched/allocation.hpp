@@ -50,7 +50,7 @@ Allocation allocate(const TaskGraph& graph, const Cluster& cluster,
 Seconds allocation_edge_cost(const Cluster& cluster, Bytes bytes);
 
 /// The average-area lower bound W used by the given allocator on this
-/// platform (exposed for tests and the ablation bench).
+/// platform (exposed for tests).
 double average_area(const TaskGraph& graph, const Cluster& cluster,
                     const AmdahlModel& model, const Allocation& alloc,
                     AllocationKind kind);

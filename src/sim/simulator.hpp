@@ -62,7 +62,7 @@ struct SimulationResult {
 struct SimulatorOptions {
   /// When false, redistributions complete after their contention-free
   /// time instead of being simulated as contending fluid flows (used by
-  /// the contention ablation bench).
+  /// the ablation_contention scenario kind).
   bool contention = true;
   /// Opt-in structured tracing (see trace/trace.hpp): task start/finish,
   /// redistribution intervals, component solves and rate changes are

@@ -1,9 +1,11 @@
 // Unit tests for the AutoTuner facade (automatic RATS parameter
-// tuning, the paper's future-work item).
+// tuning, the paper's future-work item) and the tune() it calls.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "exp/autotune.hpp"
+#include "exp/runner.hpp"
+#include "exp/tuning.hpp"
 #include "platform/grid5000.hpp"
 
 namespace rats {
@@ -45,6 +47,19 @@ TEST(AutoTuner, OptionsCarryTunedValuesAndKind) {
   EXPECT_DOUBLE_EQ(o.rats.maxdelta, t.maxdelta);
   EXPECT_DOUBLE_EQ(o.rats.minrho, t.minrho);
   EXPECT_TRUE(o.rats.packing);
+}
+
+// tune() scores the 20 (mindelta, maxdelta) points and the 6 minrho
+// points with packing, the only ones the tuned triple reads, against
+// one HCPA reference: 27 runs per corpus entry.
+TEST(Tune, ScoresOnlyThePointsItReads) {
+  CorpusOptions options;
+  options.kernel_samples = 2;
+  const auto corpus = build_family(DagFamily::Strassen, options);
+  ASSERT_EQ(corpus.size(), 2u);
+  const std::uint64_t before = simulated_run_count();
+  tune(corpus, grid5000::chti(), 1);
+  EXPECT_EQ(simulated_run_count() - before, corpus.size() * 27);
 }
 
 TEST(AutoTuner, RejectsZeroCalibrationSamples) {

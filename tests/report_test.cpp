@@ -11,6 +11,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -63,7 +64,10 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ReportGolden,
                                          "fig6", "fig7", "table1", "table2",
                                          "table3", "table4", "table5",
                                          "table6", "experiment", "single",
-                                         "robustness"),
+                                         "sweep", "robustness",
+                                         "ablation_allocation",
+                                         "ablation_sort",
+                                         "ablation_contention"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -248,6 +252,26 @@ TEST(SweepKindTest, RegistryRejectsEmptyGrids) {
   scenario::ScenarioSpec spec = kind_spec("sweep");
   spec.sweep = scenario::SweepSpec{};
   EXPECT_THROW(scenario::build_report(spec), Error);
+}
+
+// ---- ablation kinds ----------------------------------------------------
+
+TEST(AblationKinds, RejectAlgorithmListsWithoutTheirShape) {
+  // ablation_sort compares strategy a with a + k: HCPA, k strategies,
+  // then the same k strategies without the secondary sort.
+  scenario::ScenarioSpec sort = kind_spec("ablation_sort");
+  sort.algorithms.algos.pop_back();
+  EXPECT_THROW(scenario::build_report(sort), Error);
+  sort = kind_spec("ablation_sort");
+  sort.algorithms.algos[3].options.secondary_sort = true;
+  EXPECT_THROW(scenario::build_report(sort), Error);
+  sort = kind_spec("ablation_sort");
+  sort.algorithms = scenario::AlgorithmsSpec{};  // naive: no unsorted twins
+  EXPECT_THROW(scenario::build_report(sort), Error);
+  // ablation_allocation compares against its first algorithm, HCPA.
+  scenario::ScenarioSpec allocation = kind_spec("ablation_allocation");
+  std::swap(allocation.algorithms.algos[0], allocation.algorithms.algos[1]);
+  EXPECT_THROW(scenario::build_report(allocation), Error);
 }
 
 // ---- one pass: report + trace from a single simulation ----------------

@@ -54,7 +54,7 @@ TEST(ScenarioRoundTrip, EveryRegistryKindIsByteStable) {
 TEST(ScenarioRoundTrip, CustomEverythingIsByteStable) {
   ScenarioSpec spec;
   spec.name = "custom";
-  spec.kind = "experiment";
+  spec.kind = "sweep";
   spec.platform.presets.clear();
   spec.platform.name = "hetero";
   spec.platform.cabinet_nodes = {4, 8, 6};
@@ -211,6 +211,38 @@ TEST(ScenarioErrors, SweepKindValidation) {
   expect_parse_error(
       "[scenario]\nkind = \"sweep\"\n[sweep]\npacking = true\n", 4,
       "'packing' must be an array of booleans");
+  // A key the kind does not read: fig4 reads mindelta and maxdelta,
+  // fig5 minrho, every other kind but sweep none.
+  expect_parse_error(
+      "[scenario]\nkind = \"fig4\"\n[event]\nat = 1\n"
+      "kind = \"node-slowdown\"\nnode = 0\nfactor = 0.5\n"
+      "[sweep]\nmindelta = [0]\nevent-factor = [0.25, 0.5]\n",
+      10, "kind \"fig4\" does not read [sweep] key 'event-factor' (it reads "
+          "mindelta, maxdelta)");
+  expect_parse_error(
+      "[scenario]\nkind = \"fig4\"\n[sweep]\nminrho = [0.2]\n", 4,
+      "does not read [sweep] key 'minrho'");
+  expect_parse_error(
+      "[scenario]\nkind = \"fig4\"\n[sweep]\npacking = [false]\n", 4,
+      "does not read [sweep] key 'packing'");
+  expect_parse_error(
+      "[sweep]\nbase = \"time-cost\"\n[scenario]\nkind = \"fig4\"\n", 2,
+      "does not read [sweep] key 'base'");
+  expect_parse_error(
+      "[scenario]\nkind = \"fig5\"\n[sweep]\nminrho = [0.2]\n"
+      "maxdelta = [1]\n",
+      5, "kind \"fig5\" does not read [sweep] key 'maxdelta' (it reads "
+         "minrho)");
+  expect_parse_error(
+      "[scenario]\nkind = \"fig2\"\n[sweep]\nminrho = [0.3]\n", 4,
+      "kind \"fig2\" does not read [sweep] key 'minrho' (it reads none)");
+  // A built spec has no line: the registry rejects it before any run.
+  ScenarioSpec built =
+      load_scenario(std::string(RATS_SOURCE_DIR) + "/scenarios/fig4.rats");
+  built.workload.cap_per_family = 1;
+  built.threads = 1;
+  built.sweep.minrhos = {0.2};
+  EXPECT_THROW(build_report(built), Error);
 }
 
 TEST(ScenarioRoundTrip, SweepAndOutputSectionsAreByteStable) {
@@ -349,7 +381,7 @@ TEST(ScenarioResolve, AlgorithmPresets) {
 
 TEST(ScenarioRegistry, KindsAndTraceability) {
   const auto all = kinds();
-  EXPECT_EQ(all.size(), 16u);
+  EXPECT_EQ(all.size(), 19u);
   EXPECT_TRUE(kind_supports_trace("fig2"));
   EXPECT_TRUE(kind_supports_trace("robustness"));
   EXPECT_TRUE(kind_supports_trace("experiment"));
@@ -359,9 +391,13 @@ TEST(ScenarioRegistry, KindsAndTraceability) {
   // session hook — sweeps and the tuned multi-cluster tables included.
   EXPECT_TRUE(kind_supports_trace("fig4"));
   EXPECT_TRUE(kind_supports_trace("table5"));
+  EXPECT_TRUE(kind_supports_trace("ablation_allocation"));
+  EXPECT_TRUE(kind_supports_trace("ablation_sort"));
   // Static reports and table4's repeated tuning matrices do not trace.
   EXPECT_FALSE(kind_supports_trace("table1"));
   EXPECT_FALSE(kind_supports_trace("table4"));
+  // The contention ablation simulates each schedule twice itself.
+  EXPECT_FALSE(kind_supports_trace("ablation_contention"));
   EXPECT_FALSE(kind_supports_trace("nope"));
 }
 
