@@ -18,12 +18,14 @@
 //                         (the subset overload over one component).
 //                         Emits JSON; --quick shrinks it;
 //  * --warmstart        — per-event re-solve cost after a single-flow
-//                         swap: full cold solve (what the engine paid
-//                         before warm starts) vs solve_warm over the
-//                         saturation trace, with cold fallbacks
-//                         counted.  Emits JSON.
+//                         swap (one cell: a fig2-shaped batch of 2-3
+//                         departures and 1-2 arrivals): full cold solve
+//                         (what the engine paid before warm starts) vs
+//                         solve_warm over the saturation trace, with
+//                         cold fallbacks counted.  Emits JSON.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -412,7 +414,8 @@ int run_components(bool quick, const std::string& out_path) {
 int run_warmstart(bool quick, const std::string& out_path) {
   struct Cell {
     int flows, links;
-    bool capped;  ///< 30% of flows carry a binding TCP cap
+    bool capped;   ///< 30% of flows carry a binding TCP cap
+    bool batched;  ///< 2-3 departures plus 1-2 arrivals per event
   };
   std::vector<Cell> grid;
   const std::vector<int> flow_counts =
@@ -425,7 +428,13 @@ int run_warmstart(bool quick, const std::string& out_path) {
   // departures cascade much deeper.
   for (int f : flow_counts)
     for (int l : link_counts)
-      for (bool capped : {false, true}) grid.push_back({f, l, capped});
+      for (bool capped : {false, true}) grid.push_back({f, l, capped, false});
+  // fig2's measured warm solves on grillon (47 nodes, 94 links): about
+  // 480 uncapped two-link flows, with 2.31 departures and 1.74 arrivals
+  // per solve.  A cost that scales with trace settles x departures only
+  // shows with such batches.  The population starts at 480 and loses
+  // one flow per event.
+  grid.push_back({480, 94, false, true});
   const int events = quick ? 128 : 256;
 
   std::filesystem::path path(out_path);
@@ -470,21 +479,44 @@ int run_warmstart(bool quick, const std::string& out_path) {
 
     // Events alternate a single departure (even) with a single arrival
     // (odd) — the fluid network's ensure_rates sees exactly such
-    // single-flow deltas between solves.  Both engines replay the
-    // identical sequence; the population size oscillates by one.
+    // single-flow deltas between solves — except in the batched cell.
+    // Both engines replay the identical sequence.  Victims are distinct
+    // population indices in descending order, so removing each (swap
+    // with the last flow) in turn keeps the later ones valid.
     struct Event {
-      bool departure;
-      std::size_t victim;      // departure only
-      FlowDemand arriving;     // arrival only
+      std::vector<std::size_t> victims;
+      std::vector<FlowDemand> arriving;
     };
-    const auto make_event = [&](Rng& rng, int index, std::size_t population) {
+    const auto make_event = [&](Rng& rng, int index,
+                                const std::vector<FlowDemand>& flows) {
       Event ev;
-      ev.departure = index % 2 == 0;
-      if (ev.departure)
-        ev.victim =
-            static_cast<std::size_t>(rng.uniform_int(0, population - 1));
-      else
-        ev.arriving = random_demand(rng);
+      const auto pick = [&] {
+        return static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(flows.size()) - 1));
+      };
+      if (!cell.batched) {
+        if (index % 2 == 0) ev.victims.push_back(pick());
+        else ev.arriving.push_back(random_demand(rng));
+        return ev;
+      }
+      // fig2's departures are fast flows, which fix late: depart the
+      // lighter of two random flows (traffic is skewed to low node ids,
+      // so the one whose busier end has the higher id).
+      const auto busier_end = [&](std::size_t v) {
+        return std::min(flows[v].links[0], flows[v].links[1] - 1);
+      };
+      const int arrivals = static_cast<int>(rng.uniform_int(1, 2));
+      while (ev.victims.size() < static_cast<std::size_t>(arrivals) + 1) {
+        std::size_t v = pick();
+        const std::size_t other = pick();
+        if (busier_end(other) > busier_end(v)) v = other;
+        if (std::find(ev.victims.begin(), ev.victims.end(), v) ==
+            ev.victims.end())
+          ev.victims.push_back(v);
+      }
+      std::sort(ev.victims.rbegin(), ev.victims.rend());
+      for (int a = 0; a < arrivals; ++a)
+        ev.arriving.push_back(random_demand(rng));
       return ev;
     };
 
@@ -508,13 +540,12 @@ int run_warmstart(bool quick, const std::string& out_path) {
       std::vector<Rate> rates;
       const auto start = std::chrono::steady_clock::now();
       for (int e = 0; e < events; ++e) {
-        auto ev = make_event(rng, e, flows.size());
-        if (ev.departure) {
-          flows[ev.victim] = std::move(flows.back());
+        auto ev = make_event(rng, e, flows);
+        for (const std::size_t v : ev.victims) {
+          flows[v] = std::move(flows.back());
           flows.pop_back();
-        } else {
-          flows.push_back(std::move(ev.arriving));
         }
+        for (FlowDemand& d : ev.arriving) flows.push_back(std::move(d));
         make_views(flows, views);
         rates.resize(flows.size());
         solver.solve(capacity, views.data(), views.size(), rates.data());
@@ -544,33 +575,34 @@ int run_warmstart(bool quick, const std::string& out_path) {
       std::vector<FlowDemandView> views;
       std::vector<Rate> rates(flows.size());
       std::vector<std::pair<std::int32_t, Rate>> changed;
+      std::vector<std::int32_t> departing;
+      std::vector<FlowArrival> arrivals;
       const auto start = std::chrono::steady_clock::now();
       make_views(flows, views);
       solver.solve(capacity, views.data(), views.size(), rates.data(), &state,
                    ids.data());
       for (int e = 0; e < events; ++e) {
-        auto ev = make_event(rng, e, flows.size());
-        bool ok;
-        changed.clear();
-        if (ev.departure) {
-          const std::int32_t departing = ids[ev.victim];
-          ok = solver.solve_warm(capacity, state, nullptr, 0, &departing, 1,
-                                 changed);
-          flows[ev.victim] = std::move(flows.back());
+        auto ev = make_event(rng, e, flows);
+        departing.clear();
+        for (const std::size_t v : ev.victims) {
+          departing.push_back(ids[v]);
+          flows[v] = std::move(flows.back());
           flows.pop_back();
-          ids[ev.victim] = ids.back();
+          ids[v] = ids.back();
           ids.pop_back();
-        } else {
-          const std::int32_t arriving_id = next_id++;
-          const FlowArrival arrival{
-              arriving_id, ev.arriving.links.data(),
-              static_cast<std::int32_t>(ev.arriving.links.size()),
-              ev.arriving.cap};
-          ok = solver.solve_warm(capacity, state, &arrival, 1, nullptr, 0,
-                                 changed);
-          flows.push_back(std::move(ev.arriving));
-          ids.push_back(arriving_id);
         }
+        arrivals.clear();
+        for (const FlowDemand& d : ev.arriving) {
+          arrivals.push_back(FlowArrival{
+              next_id, d.links.data(), static_cast<std::int32_t>(d.links.size()),
+              d.cap});
+          ids.push_back(next_id++);
+        }
+        changed.clear();
+        const bool ok =
+            solver.solve_warm(capacity, state, arrivals.data(), arrivals.size(),
+                              departing.data(), departing.size(), changed);
+        for (FlowDemand& d : ev.arriving) flows.push_back(std::move(d));
         benchmark::DoNotOptimize(changed);
         if (!ok) {
           ++fallbacks;
@@ -589,19 +621,20 @@ int run_warmstart(bool quick, const std::string& out_path) {
 
     const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0.0;
     std::printf(
-        "flows=%-6d links=%-5d capped=%d cold=%8.4fms cone=%8.4fms "
-        "speedup=%5.2fx fallbacks=%d/%d\n",
-        cell.flows, cell.links, cell.capped ? 1 : 0, cold_ms, warm_ms,
-        speedup, fallbacks, events);
+        "flows=%-6d links=%-5d capped=%d batched=%d cold=%8.4fms "
+        "cone=%8.4fms speedup=%5.2fx fallbacks=%d/%d\n",
+        cell.flows, cell.links, cell.capped ? 1 : 0, cell.batched ? 1 : 0,
+        cold_ms, warm_ms, speedup, fallbacks, events);
     if (!first) std::fprintf(out, ",\n");
     first = false;
     std::fprintf(out,
                  "    {\"flows\": %d, \"links\": %d, \"capped\": %s, "
-                 "\"cold_ms\": %.6f, \"cone_ms\": %.6f, "
+                 "\"batched\": %s, \"cold_ms\": %.6f, \"cone_ms\": %.6f, "
                  "\"speedup\": %.3f, \"cone_fallbacks\": %d, "
                  "\"events\": %d}",
                  cell.flows, cell.links, cell.capped ? "true" : "false",
-                 cold_ms, warm_ms, speedup, fallbacks, events);
+                 cell.batched ? "true" : "false", cold_ms, warm_ms, speedup,
+                 fallbacks, events);
     // Speed gates.  On spread contention (links >= 256 here; fig2's
     // regime, where a grelon-scale platform has thousands of NIC
     // links) a single-flow delta touches a small dependency cone and

@@ -226,7 +226,9 @@ scenario::ScenarioSpec generate_spec(std::uint64_t seed) {
     spec.algorithms.preset = "tuned";
   } else {
     gen_platform(platform_rng, spec.platform);
-    gen_algorithms(algos_rng, spec.algorithms);
+    // The sweep kind runs its own [sweep] points and rejects an
+    // [algorithm] list, so it keeps the default preset.
+    if (spec.kind != "sweep") gen_algorithms(algos_rng, spec.algorithms);
   }
   gen_workload(workload_rng, spec.workload);
 

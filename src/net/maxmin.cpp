@@ -36,6 +36,23 @@ constexpr double kDipFilterSlack = 1e-9;
 // shaved by this relative margin so rounding noise can only undo one
 // round too many, never one too few.
 constexpr double kDivergenceMargin = 1e-9;
+
+// Re-keys a heap's top in place after its key grew: sift the entry down
+// instead of popping and pushing it.  Heap entries are unique by (key,
+// link id), so the pop sequence is the same either way.
+template <class T, class Greater>
+void sift_down_top(std::vector<T>& heap, Greater greater) {
+  const std::size_t n = heap.size();
+  const T moved = heap.front();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && greater(heap[child], heap[child + 1])) ++child;
+    if (!greater(moved, heap[child])) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = moved;
+}
 }  // namespace
 
 void MaxMinSolver::solve(const std::vector<Rate>& capacity,
@@ -247,10 +264,9 @@ void MaxMinSolver::solve_impl(const std::vector<Rate>& capacity,
       }
       const Rate cur = slot.remaining / slot.active;
       if (cur > top.share * (1 + kShareSlack)) {
-        std::pop_heap(heap_.begin(), heap_.end(), heap_greater);
-        heap_.back().share = cur;
+        heap_.front().share = cur;
         slots_[static_cast<std::size_t>(top.link)].key = cur;
-        std::push_heap(heap_.begin(), heap_.end(), heap_greater);
+        sift_down_top(heap_, heap_greater);
         continue;
       }
       link_share = cur;
@@ -315,7 +331,8 @@ void MaxMinSolver::solve_impl(const std::vector<Rate>& capacity,
 
 // ---- warm re-solve -----------------------------------------------------
 //
-// Undo the recorded trace back to the divergence round, then *splice*:
+// Find the departures (stamped by flow id), copy the undone suffix of
+// the trace as the work list and undo it, then *splice*:
 // recorded rounds whose binding link stayed outside the delta's
 // dependency cone are committed verbatim (same settles, same recorded
 // rates — bit-identical by construction, since every input to their
@@ -368,30 +385,37 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
     slot.index = static_cast<std::int32_t>(d);
   }
 
-  // Locate each departure's settle.  Departed loopback flows (empty
-  // link range) affect nobody: they are only compacted out of the trace.
-  std::vector<std::int32_t>& dep_settles = warm_links_;  // reuse scratch
-  dep_settles.clear();
+  // Locate the departures, stamped by flow id so testing a settle is
+  // one load.  Departed loopback flows (empty link range) affect
+  // nobody: they are only compacted out of the trace.
+  for (std::size_t q = 0; q < num_departures; ++q) {
+    if (departures[q] < 0) continue;  // never found: declines below
+    const auto id = static_cast<std::size_t>(departures[q]);
+    if (id >= warm_departed_.size()) warm_departed_.resize(id + 1, 0);
+    warm_departed_[id] = epoch_;
+  }
+  const auto departs = [&](std::int32_t id) {
+    const auto i = static_cast<std::size_t>(id);
+    return i < warm_departed_.size() && warm_departed_[i] == epoch_;
+  };
+  std::size_t first_dep = num_settles;
   std::vector<std::int32_t> loopback_settles;  // rare; usually no alloc
   if (num_departures > 0) {
+    // From the end: fast flows finish first and fix late, so the scan
+    // usually stops inside the suffix the undo pass reads next.
     std::size_t found = 0;
-    for (std::size_t s = 0; s < num_settles && found < num_departures; ++s) {
-      const MaxMinWarmState::Settle& st = state.settles[s];
-      bool departs = false;
-      for (std::size_t q = 0; q < num_departures; ++q)
-        if (departures[q] == st.id) {
-          departs = true;
-          break;
-        }
-      if (!departs) continue;
+    for (std::size_t s = num_settles; s > 0 && found < num_departures; --s) {
+      const MaxMinWarmState::Settle& st = state.settles[s - 1];
+      if (!departs(st.id)) continue;
       ++found;
       const std::int32_t end =
-          s + 1 < num_settles ? state.settles[s + 1].link_off
-                              : static_cast<std::int32_t>(state.log.size());
+          s < num_settles ? state.settles[s].link_off
+                          : static_cast<std::int32_t>(state.log.size());
       if (st.link_off == end)
-        loopback_settles.push_back(static_cast<std::int32_t>(s));
+        loopback_settles.insert(loopback_settles.begin(),
+                                static_cast<std::int32_t>(s - 1));
       else
-        dep_settles.push_back(static_cast<std::int32_t>(s));
+        first_dep = s - 1;
     }
     if (found != num_departures) {
       assert(false && "warm departure not present in trace");
@@ -436,9 +460,8 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
   // Divergence round: the earliest of any departure's fix round and the
   // first round whose share reaches the arrival bound.
   std::size_t k = num_rounds;
-  if (!dep_settles.empty()) {
-    // dep_settles is in settle order; the first one decides.
-    const std::int32_t s0 = dep_settles.front();
+  if (first_dep < num_settles) {
+    const auto s0 = static_cast<std::int32_t>(first_dep);
     std::size_t lo = 0, hi = num_rounds;
     while (lo + 1 < hi) {  // last round with first_settle <= s0
       const std::size_t mid = (lo + hi) / 2;
@@ -466,14 +489,15 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
 
   // ---- committed: everything below mutates `state` -------------------
 
-  // Undo + work-list build in one forward pass over the log suffix.
-  // A link's pre-splice residual is the `before` of its EARLIEST undone
-  // log entry, so restoring on first touch (forward) reproduces the
-  // backward replay; the same entry visit re-counts the link's unfixed
-  // flows and collects the suffix work list (departures excluded, their
-  // link counts removed and their links seeding the cone).
-  // `warm_suffix_work_` maps settle indices to work indices so the
-  // recorded rounds can be re-expressed as work ranges.
+  // The work list is the undone suffix of the trace, copied in bulk,
+  // then the arrivals: work item w is `warm_settles_[w]`, its links are
+  // `warm_log_[warm_settles_[w].link_off .. warm_settles_[w + 1].link_off)`.
+  // One forward pass over the copy rebases those offsets and undoes the
+  // suffix.  A link's pre-splice residual is the `before` of its
+  // EARLIEST undone log entry, so restoring on first touch (forward)
+  // reproduces the backward replay; the same entry visit re-counts the
+  // link's unfixed flows.  Departed settles stay in place, pre-fixed:
+  // their link counts are removed and their links seed the cone.
   const std::size_t log_first =
       first_undone < num_settles
           ? static_cast<std::size_t>(state.settles[first_undone].link_off)
@@ -481,61 +505,47 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
   warm_active_.assign(num_known + num_new_links, 0);
   warm_touched_.assign(num_known + num_new_links, 0);
   warm_affected_.assign(num_known + num_new_links, 0);
-  work_ids_.clear();
-  work_caps_.clear();
-  work_rates_.clear();
-  work_off_.clear();
-  work_flow_links_.clear();
-  warm_suffix_work_.assign(undone + 1, 0);
-  std::size_t dep_ptr = 0;
-  for (std::size_t s = first_undone; s < num_settles; ++s) {
-    warm_suffix_work_[s - first_undone] =
-        static_cast<std::int32_t>(work_ids_.size());
-    const MaxMinWarmState::Settle& st = state.settles[s];
-    const auto begin = static_cast<std::size_t>(st.link_off);
-    const auto end = s + 1 < num_settles
-                         ? static_cast<std::size_t>(state.settles[s + 1].link_off)
-                         : state.log.size();
-    if (dep_ptr < dep_settles.size() &&
-        dep_settles[dep_ptr] == static_cast<std::int32_t>(s)) {
-      ++dep_ptr;
-      for (std::size_t e = begin; e < end; ++e) {
-        const auto d = static_cast<std::size_t>(state.log[e].link);
-        if (!warm_touched_[d]) {
-          warm_touched_[d] = 1;
-          state.remaining[d] = state.log[e].before;
-        }
-        --state.act0[d];
-        warm_affected_[d] = 1;
-      }
-      continue;
+  warm_settles_.assign(
+      state.settles.begin() + static_cast<std::ptrdiff_t>(first_undone),
+      state.settles.end());
+  warm_log_.assign(state.log.begin() + static_cast<std::ptrdiff_t>(log_first),
+                   state.log.end());
+  const std::size_t num_work = undone + num_arrivals;
+  fixed_.assign(num_work, 0);
+  std::size_t unfixed = num_work;
+  for (std::size_t w = 0; w < undone; ++w) {
+    MaxMinWarmState::Settle& st = warm_settles_[w];
+    st.link_off -= static_cast<std::int32_t>(log_first);
+    const auto end =
+        w + 1 < undone
+            ? static_cast<std::size_t>(warm_settles_[w + 1].link_off) - log_first
+            : warm_log_.size();
+    const bool departed = departs(st.id);
+    if (departed) {
+      fixed_[w] = 1;
+      --unfixed;
     }
-    work_ids_.push_back(st.id);
-    work_caps_.push_back(st.cap);
-    work_rates_.push_back(st.rate);
-    work_off_.push_back(static_cast<std::int32_t>(work_flow_links_.size()));
-    for (std::size_t e = begin; e < end; ++e) {
-      const auto d = static_cast<std::size_t>(state.log[e].link);
+    for (auto e = static_cast<std::size_t>(st.link_off); e < end; ++e) {
+      const auto d = static_cast<std::size_t>(warm_log_[e].link);
       if (!warm_touched_[d]) {
         warm_touched_[d] = 1;
-        state.remaining[d] = state.log[e].before;
+        state.remaining[d] = warm_log_[e].before;
       }
-      ++warm_active_[d];
-      work_flow_links_.push_back(state.log[e].link);
+      if (departed) {
+        --state.act0[d];
+        warm_affected_[d] = 1;
+      } else {
+        ++warm_active_[d];
+      }
     }
   }
-  warm_suffix_work_[undone] = static_cast<std::int32_t>(work_ids_.size());
-  assert(dep_ptr == dep_settles.size() &&
-         "departure fixed before the divergence round");
-  const std::size_t num_recorded_work = work_ids_.size();
 
   // Arrivals: grow the link table for unseen links, then count the new
   // flows in.  Their links seed the cone.
   for (std::size_t a = 0; a < num_arrivals; ++a) {
-    work_ids_.push_back(arrivals[a].id);
-    work_caps_.push_back(arrivals[a].cap);
-    work_rates_.push_back(0);  // never kept-committed
-    work_off_.push_back(static_cast<std::int32_t>(work_flow_links_.size()));
+    warm_settles_.push_back(MaxMinWarmState::Settle{  // rate: never kept
+        arrivals[a].id, static_cast<std::int32_t>(warm_log_.size()), 0,
+        arrivals[a].cap});
     for (std::int32_t i = 0; i < arrivals[a].count; ++i) {
       const auto l = static_cast<std::size_t>(
           arrivals[a].links[static_cast<std::size_t>(i)]);
@@ -551,28 +561,25 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
       ++state.act0[d];
       warm_touched_[d] = 1;
       warm_affected_[d] = 1;
-      work_flow_links_.push_back(static_cast<std::int32_t>(d));
+      warm_log_.push_back(
+          MaxMinWarmState::LogEntry{static_cast<std::int32_t>(d), 0});
     }
   }
-  work_off_.push_back(static_cast<std::int32_t>(work_flow_links_.size()));
+  warm_settles_.push_back(MaxMinWarmState::Settle{
+      -1, static_cast<std::int32_t>(warm_log_.size()), 0, 0});  // end
 
-  // Kept schedule: the recorded suffix rounds as work ranges, consumed
-  // in order by the merge.  Committing untouched rounds verbatim costs
-  // O(1) per settle and no heap work, so even a full-trace undo beats
-  // a cold solve and there is no trace-fraction decline.
-  warm_kept_.clear();
-  warm_kept_.reserve(num_rounds - k);
-  for (std::size_t r = k; r < num_rounds; ++r) {
-    const auto s_begin = static_cast<std::size_t>(state.rounds[r].first_settle);
-    const std::size_t s_end =
-        r + 1 < num_rounds
-            ? static_cast<std::size_t>(state.rounds[r + 1].first_settle)
-            : num_settles;
-    warm_kept_.push_back(WarmKeptRound{
-        state.rounds[r].share, state.rounds[r].key, state.rounds[r].link,
-        warm_suffix_work_[s_begin - first_undone],
-        warm_suffix_work_[s_end - first_undone]});
-  }
+  // Kept schedule: the recorded suffix rounds and an end sentinel,
+  // rebased to work indices, consumed in order by the merge.
+  // Committing untouched rounds verbatim costs O(1) per settle and no
+  // heap work, so even a full-trace undo beats a cold solve and there
+  // is no trace-fraction decline.
+  warm_kept_.assign(state.rounds.begin() + static_cast<std::ptrdiff_t>(k),
+                    state.rounds.end());
+  warm_kept_.push_back(MaxMinWarmState::Round{
+      static_cast<std::int32_t>(num_settles), 0, -1, 0});
+  for (MaxMinWarmState::Round& r : warm_kept_)
+    r.first_settle -= static_cast<std::int32_t>(first_undone);
+  const std::size_t num_kept = warm_kept_.size() - 1;
 
   // Truncate the undone tail of the trace; the merge re-records.
   state.settles.resize(first_undone);
@@ -582,13 +589,13 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
          state.dips.back().round >= static_cast<std::int32_t>(k))
     state.dips.pop_back();
 
-  const std::size_t num_work = work_ids_.size();
-  std::size_t unfixed = num_work;
+  const std::size_t num_live = unfixed;
   std::size_t cone_fixed = 0;
-  if (num_work > 0) {
-    // Mini-CSR link -> work item over every suffix link, so cone
-    // rounds can fix (and steal) any unfixed flow crossing their link.
-    std::vector<std::int32_t>& clinks = warm_links_;  // dep_settles done
+  if (num_live > 0) {
+    // Mini-CSR link -> unfixed work item over every suffix link, so
+    // cone rounds can fix (and steal) any unfixed flow crossing their
+    // link.
+    std::vector<std::int32_t>& clinks = warm_links_;
     clinks.clear();
     const std::size_t total = num_known + num_new_links;
     if (csr_slot_.size() < total) csr_slot_.resize(total);
@@ -597,27 +604,32 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
         csr_slot_[d] = static_cast<std::int32_t>(clinks.size());
         clinks.push_back(static_cast<std::int32_t>(d));
       }
-    work_csr_off_.assign(clinks.size() + 1, 0);
-    for (const std::int32_t d : work_flow_links_)
-      ++work_csr_off_[static_cast<std::size_t>(
-                          csr_slot_[static_cast<std::size_t>(d)]) +
-                      1];
+    const auto links_of = [&](std::size_t w) {
+      return std::pair<std::size_t, std::size_t>(
+          static_cast<std::size_t>(warm_settles_[w].link_off),
+          static_cast<std::size_t>(warm_settles_[w + 1].link_off));
+    };
+    // A link's list holds one entry per unfixed flow crossing it: the
+    // undo pass already counted those in `warm_active_`.
+    work_csr_off_.resize(clinks.size() + 1);
+    work_csr_off_[0] = 0;
     for (std::size_t c = 0; c < clinks.size(); ++c)
-      work_csr_off_[c + 1] += work_csr_off_[c];
-    work_csr_.resize(work_flow_links_.size());
-    for (std::size_t w = 0; w < num_work; ++w)
-      for (auto i = static_cast<std::size_t>(work_off_[w]);
-           i < static_cast<std::size_t>(work_off_[w + 1]); ++i) {
+      work_csr_off_[c + 1] =
+          work_csr_off_[c] + warm_active_[static_cast<std::size_t>(clinks[c])];
+    work_csr_.resize(static_cast<std::size_t>(work_csr_off_[clinks.size()]));
+    for (std::size_t w = 0; w < num_work; ++w) {
+      if (fixed_[w]) continue;
+      const auto [begin, end] = links_of(w);
+      for (std::size_t i = begin; i < end; ++i) {
         const auto c = static_cast<std::size_t>(
-            csr_slot_[static_cast<std::size_t>(work_flow_links_[i])]);
+            csr_slot_[static_cast<std::size_t>(warm_log_[i].link)]);
         work_csr_[static_cast<std::size_t>(work_csr_off_[c]++)] =
             static_cast<std::int32_t>(w);
       }
+    }
     for (std::size_t c = clinks.size(); c > 0; --c)
       work_csr_off_[c] = work_csr_off_[c - 1];
     work_csr_off_[0] = 0;
-
-    fixed_.assign(num_work, 0);
 
     // Mirror the cold solver's heap keys.  At the splice a link's cold
     // key is its current share unless a recorded dip from the kept
@@ -651,14 +663,14 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
     warm_cap_heap_.clear();
     const auto cap_greater = std::greater<std::pair<Rate, std::int32_t>>();
     const auto push_cap = [&](std::size_t w) {
-      const Rate c = work_caps_[w];
+      const Rate c = warm_settles_[w].cap;
       if (std::isfinite(c) && c <= state.max_capacity) {
         warm_cap_heap_.emplace_back(c, static_cast<std::int32_t>(w));
         std::push_heap(warm_cap_heap_.begin(), warm_cap_heap_.end(),
                        cap_greater);
       }
     };
-    for (std::size_t w = num_recorded_work; w < num_work; ++w) push_cap(w);
+    for (std::size_t w = undone; w < num_work; ++w) push_cap(w);
 
     // Share heap over the cone links only; kept rounds supply the
     // clean links' binding events in recorded order.  Pop order
@@ -716,33 +728,25 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
             rtag, static_cast<std::int32_t>(d), warm_key_[d]});
     };
 
-    const auto settle_kept = [&](std::size_t w) {
+    const auto settle = [&](std::size_t w, Rate r) {
       assert(!fixed_[w]);
-      const Rate r = work_rates_[w];
       state.settles.push_back(MaxMinWarmState::Settle{
-          work_ids_[w], static_cast<std::int32_t>(state.log.size()), r,
-          work_caps_[w]});
-      for (auto i = static_cast<std::size_t>(work_off_[w]);
-           i < static_cast<std::size_t>(work_off_[w + 1]); ++i)
-        touch_link(static_cast<std::size_t>(work_flow_links_[i]), r);
+          warm_settles_[w].id, static_cast<std::int32_t>(state.log.size()), r,
+          warm_settles_[w].cap});
+      const auto [begin, end] = links_of(w);
+      for (std::size_t i = begin; i < end; ++i)
+        touch_link(static_cast<std::size_t>(warm_log_[i].link), r);
       fixed_[w] = 1;
       --unfixed;
     };
 
     // Fix a cone flow at a re-solved rate; its links join the cone.
     const auto settle_cone = [&](std::size_t w, Rate r) {
-      changed.emplace_back(work_ids_[w], r);
-      state.settles.push_back(MaxMinWarmState::Settle{
-          work_ids_[w], static_cast<std::int32_t>(state.log.size()), r,
-          work_caps_[w]});
-      for (auto i = static_cast<std::size_t>(work_off_[w]);
-           i < static_cast<std::size_t>(work_off_[w + 1]); ++i)
-        touch_link(static_cast<std::size_t>(work_flow_links_[i]), r);
-      for (auto i = static_cast<std::size_t>(work_off_[w]);
-           i < static_cast<std::size_t>(work_off_[w + 1]); ++i)
-        mark_affected(static_cast<std::size_t>(work_flow_links_[i]));
-      fixed_[w] = 1;
-      --unfixed;
+      changed.emplace_back(warm_settles_[w].id, r);
+      settle(w, r);
+      const auto [begin, end] = links_of(w);
+      for (std::size_t i = begin; i < end; ++i)
+        mark_affected(static_cast<std::size_t>(warm_log_[i].link));
       ++cone_fixed;
     };
 
@@ -753,24 +757,23 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
       // entered the cone (their settles re-solve; their flows' links
       // diverge from the record and join the cone), skip cap rounds
       // whose flow departed or was stolen.
-      while (rp < warm_kept_.size()) {
-        const WarmKeptRound& kr = warm_kept_[rp];
+      while (rp < num_kept) {
+        const MaxMinWarmState::Round& kr = warm_kept_[rp];
         if (kr.link >= 0 &&
             warm_affected_[static_cast<std::size_t>(kr.link)]) {
-          for (auto w = static_cast<std::size_t>(kr.work_begin);
-               w < static_cast<std::size_t>(kr.work_end); ++w) {
+          for (auto w = static_cast<std::size_t>(kr.first_settle);
+               w < static_cast<std::size_t>(warm_kept_[rp + 1].first_settle);
+               ++w) {
             if (fixed_[w]) continue;
             push_cap(w);
-            for (auto i = static_cast<std::size_t>(work_off_[w]);
-                 i < static_cast<std::size_t>(work_off_[w + 1]); ++i)
-              mark_affected(static_cast<std::size_t>(work_flow_links_[i]));
+            const auto [begin, end] = links_of(w);
+            for (std::size_t i = begin; i < end; ++i)
+              mark_affected(static_cast<std::size_t>(warm_log_[i].link));
           }
           ++rp;
           continue;
         }
-        if (kr.link < 0 &&
-            (kr.work_begin == kr.work_end ||
-             fixed_[static_cast<std::size_t>(kr.work_begin)])) {
+        if (kr.link < 0 && fixed_[static_cast<std::size_t>(kr.first_settle)]) {
           ++rp;  // cap round whose flow departed or was stolen
           continue;
         }
@@ -781,8 +784,8 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
       Rate kept_link_key = inf;
       std::int32_t kept_link_gl = 0;
       Rate kept_cap = inf;
-      if (rp < warm_kept_.size()) {
-        const WarmKeptRound& kr = warm_kept_[rp];
+      if (rp < num_kept) {
+        const MaxMinWarmState::Round& kr = warm_kept_[rp];
         if (kr.link >= 0) {
           kept_link_share = kr.share;
           kept_link_key = kr.key;
@@ -809,10 +812,9 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
         }
         const Rate cur = state.remaining[d] / warm_active_[d];
         if (cur > top.share * (1 + kShareSlack)) {
-          std::pop_heap(heap_.begin(), heap_.end(), heap_greater);
-          heap_.back().share = cur;
+          heap_.front().share = cur;
           warm_key_[d] = cur;
-          std::push_heap(heap_.begin(), heap_.end(), heap_greater);
+          sift_down_top(heap_, heap_greater);
           continue;
         }
         cone_share = cur;
@@ -853,7 +855,8 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
           // Equal caps are order-independent: both settle back to back
           // at their own value, so committing the kept one first stays
           // bitwise identical to any cold-solve cap order.
-          settle_kept(static_cast<std::size_t>(warm_kept_[rp].work_begin));
+          const auto w = static_cast<std::size_t>(warm_kept_[rp].first_settle);
+          settle(w, warm_settles_[w].rate);
           ++rp;
         } else {
           const auto w =
@@ -869,14 +872,14 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
       RATS_REQUIRE(std::isfinite(link_share),
                    "no constraining link for active flows");
       if (kept_link_first) {
-        const WarmKeptRound& kr = warm_kept_[rp];
+        const MaxMinWarmState::Round& kr = warm_kept_[rp];
         round_key = kr.key;
         state.rounds.push_back(MaxMinWarmState::Round{
             static_cast<std::int32_t>(state.settles.size()), kr.share,
             kr.link, kr.key});
-        for (auto w = static_cast<std::size_t>(kr.work_begin);
-             w < static_cast<std::size_t>(kr.work_end); ++w)
-          settle_kept(w);
+        for (auto w = static_cast<std::size_t>(kr.first_settle);
+             w < static_cast<std::size_t>(warm_kept_[rp + 1].first_settle); ++w)
+          settle(w, warm_settles_[w].rate);
         ++rp;
       } else {
         const auto d = static_cast<std::size_t>(heap_.front().dense);
@@ -914,8 +917,7 @@ bool MaxMinSolver::solve_warm(const std::vector<Rate>& capacity,
       r.first_settle -= static_cast<std::int32_t>(rm);
   }
   stats.bump(stats.warm_hits);
-  if (num_work > 0)
-    stats.record_warm_replay(cone_fixed, num_work);
+  if (num_live > 0) stats.record_warm_replay(cone_fixed, num_live);
   return true;
 }
 

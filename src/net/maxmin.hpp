@@ -24,7 +24,11 @@
 //     residuals.  A warm re-solve finds the divergence round (a
 //     departed flow's fix round; for an arrival, the first round whose
 //     share reaches the arrival's initial link shares or cap) and
-//     undoes the trace back to it by replaying the log in reverse.
+//     undoes the trace back to it.  Departures are stamped by flow id
+//     (one load tests a settle).  The work list is the undone suffix
+//     of settles and log, copied in bulk (departed settles stay in it,
+//     pre-fixed), plus the arrivals; one forward pass over it restores
+//     the residuals and recounts each link's unfixed flows.
 //     The replay then *splices* rather than re-solving the whole
 //     suffix: recorded rounds are consumed in order as a "kept
 //     schedule", and a round is committed straight from the record —
@@ -39,6 +43,8 @@
 //     heap merged against the kept schedule by the cold solver's
 //     (share, link id) order, caps first on ties — which is exactly
 //     what keeps the merged round order bit-identical to a cold solve.
+//     Both heaps re-key a stale top in place (sift-down); entries are
+//     unique by (key, link id), so the pop order is unchanged.
 //     Cost is O(undone suffix) for the undo/splice plus O(cone) heap
 //     work; only structurally stale states decline (returns false,
 //     caller cold-solves).
@@ -310,29 +316,20 @@ class MaxMinSolver {
   std::vector<char> warm_touched_;          ///< link touched by the suffix?
   std::vector<char> warm_affected_;         ///< link in the dependency cone?
   std::vector<std::int32_t> warm_links_;    ///< suffix links (dense)
-  // Suffix work list (SoA): flow w has links in
-  // work_flow_links_[work_off_[w] .. work_off_[w + 1]).
-  std::vector<std::int32_t> work_ids_;
-  std::vector<Rate> work_caps_;
-  std::vector<Rate> work_rates_;            ///< recorded rate (kept commits)
-  std::vector<std::int32_t> work_off_;
-  std::vector<std::int32_t> work_flow_links_;
+  /// Departure stamps by flow id (== epoch_: departs this solve).
+  std::vector<std::uint64_t> warm_departed_;
+  /// Work list: the undone trace suffix, then the arrivals and an end
+  /// sentinel; settle w's links are
+  /// warm_log_[warm_settles_[w].link_off .. warm_settles_[w + 1].link_off).
+  std::vector<MaxMinWarmState::Settle> warm_settles_;
+  std::vector<MaxMinWarmState::LogEntry> warm_log_;
   std::vector<std::int32_t> work_csr_off_;  ///< per suffix link
   std::vector<std::int32_t> work_csr_;
   std::vector<std::int32_t> csr_slot_;      ///< dense link -> suffix index
-  /// Work-index prefix counts per suffix settle (maps recorded rounds
-  /// to work ranges).
-  std::vector<std::int32_t> warm_suffix_work_;
-  /// The kept schedule: recorded suffix rounds, consumed in order and
-  /// either committed verbatim or transferred into the cone.
-  struct WarmKeptRound {
-    Rate share;
-    Rate key;           ///< recorded heap key (ordering value)
-    std::int32_t link;  ///< dense binding link; -1 for cap rounds
-    std::int32_t work_begin;
-    std::int32_t work_end;
-  };
-  std::vector<WarmKeptRound> warm_kept_;
+  /// The kept schedule: recorded suffix rounds (first settles as work
+  /// indices) and an end sentinel, consumed in order and either
+  /// committed verbatim or transferred into the cone.
+  std::vector<MaxMinWarmState::Round> warm_kept_;
   /// Cone cap min-heap (cap, work index): the sorted cap array of the
   /// cold solve, as a heap so transfers can insert mid-replay.
   std::vector<std::pair<Rate, std::int32_t>> warm_cap_heap_;

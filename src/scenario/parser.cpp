@@ -709,7 +709,7 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& filename) {
   ScenarioSpec spec;
   std::vector<ProtoEvent> protos;
   bool have_scenario = false, have_algorithms = false;
-  int algorithms_line = 0;
+  int algorithms_line = 0, algorithm_line = 0;
   const Section* sweep = nullptr;
   // Non-repeatable sections seen so far (name -> first line).
   std::vector<std::pair<std::string, int>> seen;
@@ -734,6 +734,7 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& filename) {
       algorithms_line = s.line;
       bind_algorithms(b, s, spec.algorithms);
     } else if (s.name == "algorithm") {
+      if (algorithm_line == 0) algorithm_line = s.line;
       bind_algorithm(b, s, spec.algorithms);
     } else if (s.name == "sweep") {
       sweep = &s;
@@ -763,6 +764,13 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& filename) {
       const std::string why = unread_sweep_key(spec.kind, kv.key);
       if (!why.empty()) fail(filename, kv.line, why);
     }
+  }
+  if (algorithm_line != 0 || have_algorithms) {
+    const std::string why =
+        unread_algorithms(spec.kind, spec.algorithms.preset);
+    if (!why.empty())
+      fail(filename, algorithm_line != 0 ? algorithm_line : algorithms_line,
+           why);
   }
   if (spec.kind == "sweep") {
     // The generic sweep kind crosses the [sweep] grids over the base

@@ -25,6 +25,10 @@
 //   [algorithm]  (repeatable; an explicit algorithm list, in order)
 //                name, kind = "cpa"|"mcpa"|"hcpa"|"delta"|"time-cost",
 //                mindelta, maxdelta, minrho, packing, secondary-sort
+//                (table5, table6 and robustness always run "tuned";
+//                fig4, fig5, sweep and table1-4 run their own points.
+//                A list for those kinds, or "tuned" for the latter, is
+//                an error at its section's line; "naive" is accepted)
 //   [events]     on-fail = "reschedule" | "hold"
 //   [event]      (repeatable; one timestamped platform event)
 //                at, kind = "link-capacity"|"node-slowdown"|

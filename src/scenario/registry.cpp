@@ -1075,6 +1075,11 @@ void run_ablation_contention(const ScenarioSpec& spec, ReportModel& model,
 
 // ---- registry ----------------------------------------------------------
 
+/// What a kind reads of [algorithms]/[algorithm]: an explicit list and
+/// every preset (kList), only the tuned preset, which it always runs
+/// (kTuned), or nothing, since it runs its own points (kNone).
+enum class AlgoUse { kList, kTuned, kNone };
+
 struct KindEntry {
   const char* name;
   void (*fn)(const ScenarioSpec&, ReportModel&, RunSession*);
@@ -1087,28 +1092,33 @@ struct KindEntry {
   /// The [sweep] keys the kind reads ("*": every key).  A spec giving
   /// any other key is rejected before it runs (see unread_sweep_key).
   const char* sweep_keys;
+  /// What the kind reads of [algorithms]/[algorithm] (see
+  /// unread_algorithms).
+  AlgoUse algorithms;
 };
 
 constexpr KindEntry kKinds[] = {
-    {"fig2", run_figure<kFig2>, true, true, ""},
-    {"fig3", run_figure<kFig3>, true, true, ""},
-    {"fig4", run_fig4, true, true, "mindelta, maxdelta"},
-    {"fig5", run_fig5, true, true, "minrho"},
-    {"fig6", run_figure<kFig6>, true, true, ""},
-    {"fig7", run_figure<kFig7>, true, true, ""},
-    {"table1", run_table1, false, false, ""},
-    {"table2", run_table2, false, false, ""},
-    {"table3", run_table3, false, false, ""},
-    {"table4", run_table4, false, false, ""},
-    {"table5", run_table5, true, true, ""},
-    {"table6", run_table6, true, true, ""},
-    {"experiment", run_experiment_kind, true, true, ""},
-    {"single", run_single, true, true, ""},
-    {"sweep", run_sweep, true, true, "*"},
-    {"robustness", run_robustness, true, true, ""},
-    {"ablation_allocation", run_ablation_allocation, true, true, ""},
-    {"ablation_sort", run_ablation_sort, true, true, ""},
-    {"ablation_contention", run_ablation_contention, false, false, ""},
+    {"fig2", run_figure<kFig2>, true, true, "", AlgoUse::kList},
+    {"fig3", run_figure<kFig3>, true, true, "", AlgoUse::kList},
+    {"fig4", run_fig4, true, true, "mindelta, maxdelta", AlgoUse::kNone},
+    {"fig5", run_fig5, true, true, "minrho", AlgoUse::kNone},
+    {"fig6", run_figure<kFig6>, true, true, "", AlgoUse::kList},
+    {"fig7", run_figure<kFig7>, true, true, "", AlgoUse::kList},
+    {"table1", run_table1, false, false, "", AlgoUse::kNone},
+    {"table2", run_table2, false, false, "", AlgoUse::kNone},
+    {"table3", run_table3, false, false, "", AlgoUse::kNone},
+    {"table4", run_table4, false, false, "", AlgoUse::kNone},
+    {"table5", run_table5, true, true, "", AlgoUse::kTuned},
+    {"table6", run_table6, true, true, "", AlgoUse::kTuned},
+    {"experiment", run_experiment_kind, true, true, "", AlgoUse::kList},
+    {"single", run_single, true, true, "", AlgoUse::kList},
+    {"sweep", run_sweep, true, true, "*", AlgoUse::kNone},
+    {"robustness", run_robustness, true, true, "", AlgoUse::kTuned},
+    {"ablation_allocation", run_ablation_allocation, true, true, "",
+     AlgoUse::kList},
+    {"ablation_sort", run_ablation_sort, true, true, "", AlgoUse::kList},
+    {"ablation_contention", run_ablation_contention, false, false, "",
+     AlgoUse::kList},
 };
 
 const KindEntry* find_kind(const std::string& kind) {
@@ -1292,6 +1302,24 @@ std::string unread_sweep_key(const std::string& kind, const std::string& key) {
     return "";
   return "kind \"" + kind + "\" does not read [sweep] key '" + key + "' (" +
          (reads.empty() ? "it reads none" : "it reads " + reads) + ")";
+}
+
+std::string unread_algorithms(const std::string& kind,
+                              const std::string& preset) {
+  const KindEntry* entry = find_kind(kind);
+  // The default preset is accepted everywhere: canonical emission
+  // writes it for every spec.
+  if (entry == nullptr || preset == "naive" ||
+      entry->algorithms == AlgoUse::kList ||
+      (entry->algorithms == AlgoUse::kTuned && preset == "tuned"))
+    return "";
+  const std::string what = preset.empty()
+                               ? std::string("[algorithm] sections")
+                               : "preset \"" + preset + "\"";
+  return "kind \"" + kind + "\" does not read " + what +
+         (entry->algorithms == AlgoUse::kTuned
+              ? " (it always runs the tuned preset)"
+              : " (it runs its own points)");
 }
 
 report::ReportModel build_report(const ScenarioSpec& spec,

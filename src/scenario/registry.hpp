@@ -74,6 +74,12 @@ bool kind_supports_trace(const std::string& kind);
 /// the error naming the keys it does read.
 std::string unread_sweep_key(const std::string& kind, const std::string& key);
 
+/// Empty when `kind` reads the [algorithms] preset `preset` ("" for an
+/// explicit [algorithm] list), or is unknown, else the error.  The
+/// default preset "naive" is accepted for every kind.
+std::string unread_algorithms(const std::string& kind,
+                              const std::string& preset);
+
 /// Executes the scenario's run matrix once and returns the structured
 /// report.  `session`, when given, observes every (entry, algorithm)
 /// run of a traceable kind — the single simulation pass serves report

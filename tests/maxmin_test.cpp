@@ -654,6 +654,136 @@ TEST(MaxMinDifferential, ConeDeepCascadesMatchColdBitwise) {
   }
 }
 
+// Batched deltas, shaped like a busy flat cluster's solves: eight or
+// more departures in one call (eight of them fixed in the same round),
+// ids far above every id seen so far (the departure stamps grow
+// mid-run), a departed loopback flow next to link flows, an arrival
+// joining the departures' link, and departures that make up the whole
+// undone suffix, leaving nothing to re-solve.  Every delta is checked
+// bitwise against a cold solve, and each is followed by another warm
+// delta on the re-recorded trace.
+
+TEST(MaxMinDifferential, WarmBatchedDeltasMatchColdBitwise) {
+  Rng rng(0xBA7Cu);
+  MaxMinSolver warm_solver;
+  MaxMinSolver cold_solver;
+  for (int instance = 0; instance < 60; ++instance) {
+    const int num_links = static_cast<int>(rng.uniform_int(8, 40));
+    // Link 0 is a small shared bottleneck: its flows all fix in round 0.
+    std::vector<Rate> capacity{10.0};
+    for (int l = 1; l < num_links; ++l)
+      capacity.push_back(rng.bernoulli(0.4) ? 100.0 : rng.uniform(100.0, 500.0));
+    const auto other_link = [&] {
+      return static_cast<std::int32_t>(rng.uniform_int(1, num_links - 1));
+    };
+    const auto random_flow = [&] {
+      FlowDemand d;
+      d.links.push_back(other_link());
+      const std::int32_t second = other_link();
+      if (second != d.links.front()) d.links.push_back(second);
+      if (rng.bernoulli(0.3)) d.cap = rng.uniform(1.0, 400.0);
+      return d;
+    };
+
+    std::map<std::int32_t, FlowDemand> pop;
+    std::int32_t next_id = 0;
+    std::vector<std::int32_t> hot;  // the round-0 flows on link 0
+    for (int f = 0; f < 10; ++f) {
+      hot.push_back(next_id);
+      pop[next_id++] = flow({0, other_link()});
+    }
+    const std::int32_t loopback = next_id;
+    pop[next_id++] = FlowDemand{};
+    const int num_flows = static_cast<int>(rng.uniform_int(20, 80));
+    for (int f = 0; f < num_flows; ++f) pop[next_id++] = random_flow();
+
+    std::map<std::int32_t, Rate> rate_of;
+    const auto cold_rates = [&] {
+      std::vector<FlowDemandView> views;
+      for (const auto& [id, d] : pop)
+        views.push_back(FlowDemandView{
+            d.links.data(), static_cast<std::int32_t>(d.links.size()), d.cap});
+      std::vector<Rate> rates(views.size());
+      cold_solver.solve(capacity, views.data(), views.size(), rates.data());
+      return rates;
+    };
+    MaxMinWarmState state;
+    {
+      std::vector<FlowDemandView> views;
+      std::vector<std::int32_t> ids;
+      for (const auto& [id, d] : pop) {
+        views.push_back(FlowDemandView{
+            d.links.data(), static_cast<std::int32_t>(d.links.size()), d.cap});
+        ids.push_back(id);
+      }
+      std::vector<Rate> rates(views.size());
+      warm_solver.solve(capacity, views.data(), views.size(), rates.data(),
+                        &state, ids.data());
+      for (std::size_t k = 0; k < ids.size(); ++k) rate_of[ids[k]] = rates[k];
+    }
+
+    std::vector<std::pair<std::int32_t, Rate>> changed;
+    int step = 0;
+    const auto apply = [&](const std::vector<std::int32_t>& deps,
+                           std::vector<std::pair<std::int32_t, FlowDemand>>
+                               arriving) {
+      ++step;
+      std::vector<FlowArrival> arrivals;
+      for (const auto& [id, d] : arriving)
+        arrivals.push_back(FlowArrival{
+            id, d.links.data(), static_cast<std::int32_t>(d.links.size()),
+            d.cap});
+      changed.clear();
+      ASSERT_TRUE(warm_solver.solve_warm(capacity, state, arrivals.data(),
+                                         arrivals.size(), deps.data(),
+                                         deps.size(), changed))
+          << "instance " << instance << " step " << step;
+      for (const std::int32_t id : deps) {
+        pop.erase(id);
+        rate_of.erase(id);
+      }
+      for (auto& [id, d] : arriving) pop[id] = std::move(d);
+      for (const auto& [id, r] : changed) rate_of[id] = r;
+      const std::vector<Rate> expected = cold_rates();
+      ASSERT_EQ(rate_of.size(), pop.size());
+      std::size_t k = 0;
+      for (const auto& [id, d] : pop)
+        EXPECT_EQ(rate_of[id], expected[k++])
+            << "instance " << instance << " step " << step << " flow " << id;
+    };
+    const auto follow_up = [&] {
+      apply({}, {{next_id, random_flow()}});
+      ++next_id;
+    };
+
+    // Eight round-0 departures, the loopback flow and two later link
+    // flows in one call: the earliest departure must decide.
+    std::vector<std::int32_t> deps(hot.begin(), hot.begin() + 8);
+    deps.push_back(loopback);
+    for (const std::int32_t id : {hot.back() + 2, hot.back() + 5})
+      deps.push_back(id);
+    apply(deps, {});
+    follow_up();
+    // Arrivals with far-above ids, one joining link 0 as a flow on it
+    // departs.
+    const std::int32_t far = (1 << 20) + instance * 4;
+    apply({hot[8]}, {{far, flow({0, other_link()})}, {far + 1, random_flow()}});
+    follow_up();
+    // Depart a far id (the stamps grow past 1 << 20) next to a hot flow.
+    apply({far, hot[9]}, {{far + 2, random_flow()}});
+    follow_up();
+    // Depart every flow of the last round: the undone suffix is then
+    // exactly the departures, and nothing is left to re-solve.
+    const auto last_first =
+        static_cast<std::size_t>(state.rounds.back().first_settle);
+    std::vector<std::int32_t> last_round;
+    for (std::size_t s = last_first; s < state.settles.size(); ++s)
+      last_round.push_back(state.settles[s].id);
+    apply(last_round, {});
+    follow_up();
+  }
+}
+
 // The seed solver's bottleneck test read remaining/active while the
 // same pass mutated them, so which flows counted as bottlenecked could
 // depend on flow index order.  The snapshot fix makes the result a

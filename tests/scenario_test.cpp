@@ -67,34 +67,44 @@ TEST(ScenarioRoundTrip, CustomEverythingIsByteStable) {
   spec.workload.dag.width = 0.25;  // not exactly representable in decimal? it is
   spec.workload.dag.jump = 4;
   spec.workload.generate_seed = 7;
-  spec.algorithms.preset.clear();
+  spec.sweep.minrhos = {0.2, 1.0 / 3.0, 0.5};
+  spec.output.csv = true;
+  spec.output.gantt = true;
+
+  const auto round_trip = [](const ScenarioSpec& s) {
+    const std::string once = emit_scenario(s);
+    const ScenarioSpec reparsed = parse_scenario_string(once);
+    EXPECT_EQ(once, emit_scenario(reparsed));
+    return reparsed;
+  };
+  const ScenarioSpec reparsed = round_trip(spec);
+
+  // And the reparsed spec carries the exact values (incl. the
+  // non-decimal double through %.17g).
+  EXPECT_EQ(reparsed.platform.cabinet_nodes, (std::vector<int>{4, 8, 6}));
+  EXPECT_EQ(reparsed.workload.dag.jump, 4);
+  ASSERT_EQ(reparsed.sweep.minrhos.size(), 3u);
+  EXPECT_EQ(reparsed.sweep.minrhos[1], 1.0 / 3.0);
+  EXPECT_TRUE(reparsed.output.gantt);
+
+  // No kind reads both [sweep] grids and an [algorithm] list, so the
+  // list round-trips through an experiment spec.
+  ScenarioSpec listed = spec;
+  listed.kind = "experiment";
+  listed.sweep = SweepSpec{};
+  listed.algorithms.preset.clear();
   AlgoSpec delta;
   delta.name = "my-delta";
   delta.options.kind = SchedulerKind::RatsDelta;
   delta.options.rats.mindelta = -0.3;
   delta.options.rats.maxdelta = 0.9;
   delta.options.secondary_sort = false;
-  spec.algorithms.algos = {delta};
-  spec.sweep.minrhos = {0.2, 1.0 / 3.0, 0.5};
-  spec.output.csv = true;
-  spec.output.gantt = true;
-
-  const std::string once = emit_scenario(spec);
-  const ScenarioSpec reparsed = parse_scenario_string(once);
-  const std::string twice = emit_scenario(reparsed);
-  EXPECT_EQ(once, twice);
-
-  // And the reparsed spec carries the exact values (incl. the
-  // non-decimal double through %.17g).
-  EXPECT_EQ(reparsed.platform.cabinet_nodes, (std::vector<int>{4, 8, 6}));
-  EXPECT_EQ(reparsed.workload.dag.jump, 4);
-  EXPECT_EQ(reparsed.algorithms.algos.size(), 1u);
-  EXPECT_EQ(reparsed.algorithms.algos[0].name, "my-delta");
-  EXPECT_DOUBLE_EQ(reparsed.algorithms.algos[0].options.rats.mindelta, -0.3);
-  EXPECT_FALSE(reparsed.algorithms.algos[0].options.secondary_sort);
-  ASSERT_EQ(reparsed.sweep.minrhos.size(), 3u);
-  EXPECT_EQ(reparsed.sweep.minrhos[1], 1.0 / 3.0);
-  EXPECT_TRUE(reparsed.output.gantt);
+  listed.algorithms.algos = {delta};
+  const ScenarioSpec relisted = round_trip(listed);
+  EXPECT_EQ(relisted.algorithms.algos.size(), 1u);
+  EXPECT_EQ(relisted.algorithms.algos[0].name, "my-delta");
+  EXPECT_DOUBLE_EQ(relisted.algorithms.algos[0].options.rats.mindelta, -0.3);
+  EXPECT_FALSE(relisted.algorithms.algos[0].options.secondary_sort);
 }
 
 TEST(ScenarioRoundTrip, CommentsAndSpacingNormalizeAway) {
@@ -243,6 +253,54 @@ TEST(ScenarioErrors, SweepKindValidation) {
   built.threads = 1;
   built.sweep.minrhos = {0.2};
   EXPECT_THROW(build_report(built), Error);
+}
+
+TEST(ScenarioErrors, AlgorithmsTheKindDoesNotRead) {
+  // fig4, fig5, sweep and table1-4 run their own points: no [algorithm]
+  // list and no tuned preset.  The error sits at the section's line.
+  const std::string algo = "[algorithm]\nkind = \"hcpa\"\n";
+  expect_parse_error("[scenario]\nkind = \"fig4\"\n" + algo, 3,
+                     "kind \"fig4\" does not read [algorithm] sections (it "
+                     "runs its own points)");
+  expect_parse_error(algo + algo + "[scenario]\nkind = \"fig5\"\n", 1,
+                     "kind \"fig5\" does not read [algorithm] sections");
+  expect_parse_error(
+      "[scenario]\nkind = \"sweep\"\n[sweep]\nminrho = [0.2]\n" + algo, 5,
+      "kind \"sweep\" does not read [algorithm] sections");
+  expect_parse_error("[scenario]\nkind = \"table1\"\n" + algo, 3,
+                     "kind \"table1\" does not read [algorithm] sections");
+  expect_parse_error(
+      "[scenario]\nkind = \"fig5\"\n[algorithms]\npreset = \"tuned\"\n", 3,
+      "kind \"fig5\" does not read preset \"tuned\" (it runs its own "
+      "points)");
+  expect_parse_error(
+      "[scenario]\nkind = \"table4\"\n[algorithms]\npreset = \"tuned\"\n", 3,
+      "kind \"table4\" does not read preset \"tuned\"");
+  // table5, table6 and robustness always run the tuned preset.
+  for (const char* kind : {"table5", "table6", "robustness"})
+    expect_parse_error(
+        "[scenario]\nkind = \"" + std::string(kind) + "\"\n" + algo, 3,
+        "kind \"" + std::string(kind) +
+            "\" does not read [algorithm] sections (it always runs the "
+            "tuned preset)");
+  for (const char* kind : {"table5", "table6", "robustness"})
+    EXPECT_NO_THROW(parse_scenario_string(
+        "[scenario]\nkind = \"" + std::string(kind) +
+        "\"\n[algorithms]\npreset = \"tuned\"\n"))
+        << kind;
+  // The default preset stays accepted everywhere (canonical emission
+  // writes it for every spec), and list kinds read both forms.
+  for (const std::string& kind : kinds()) {
+    const std::string sweep =
+        kind == "sweep" ? "[sweep]\nmindelta = [0]\n" : "";
+    EXPECT_NO_THROW(parse_scenario_string(
+        "[scenario]\nkind = \"" + kind + "\"\n" + sweep +
+        "[algorithms]\npreset = \"naive\"\n"))
+        << kind;
+  }
+  EXPECT_NO_THROW(parse_scenario_string("[scenario]\nkind = \"fig2\"\n" + algo));
+  EXPECT_NO_THROW(parse_scenario_string(
+      "[scenario]\nkind = \"single\"\n[algorithms]\npreset = \"tuned\"\n"));
 }
 
 TEST(ScenarioRoundTrip, SweepAndOutputSectionsAreByteStable) {
