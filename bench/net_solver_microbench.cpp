@@ -528,11 +528,8 @@ int run_warmstart(bool quick, const std::string& out_path) {
             d.links.data(), static_cast<std::int32_t>(d.links.size()), d.cap});
     };
 
-    // Cold engine: one full subset solve per event.  Best of two
-    // repetitions (the event replay is deterministic), so one OS
-    // hiccup cannot flip the gate on a busy CI machine.
-    double cold_ms = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 2; ++rep) {
+    // Cold engine: one full subset solve per event; ms per event.
+    const auto time_cold = [&] {
       auto flows = initial;
       Rng rng(41);
       MaxMinSolver solver;
@@ -552,17 +549,13 @@ int run_warmstart(bool quick, const std::string& out_path) {
         benchmark::DoNotOptimize(rates);
       }
       const auto stop = std::chrono::steady_clock::now();
-      cold_ms = std::min(
-          cold_ms,
-          std::chrono::duration<double, std::milli>(stop - start).count() /
-              events);
-    }
+      return std::chrono::duration<double, std::milli>(stop - start).count() /
+             events;
+    };
 
-    // Warm engine: traced solve once, then solve_warm per event.  Best
-    // of two deterministic repetitions, like the cold engine.
-    double warm_ms = std::numeric_limits<double>::infinity();
+    // Warm engine: traced solve once, then solve_warm per event.
     int fallbacks = 0;
-    for (int rep = 0; rep < 2; ++rep) {
+    const auto time_warm = [&] {
       fallbacks = 0;
       auto flows = initial;
       std::vector<std::int32_t> ids(flows.size());
@@ -613,10 +606,18 @@ int run_warmstart(bool quick, const std::string& out_path) {
         }
       }
       const auto stop = std::chrono::steady_clock::now();
-      warm_ms = std::min(
-          warm_ms,
-          std::chrono::duration<double, std::milli>(stop - start).count() /
-              events);
+      return std::chrono::duration<double, std::milli>(stop - start).count() /
+             events;
+    };
+
+    // The event replay is deterministic, so each engine's figure is its
+    // best of five repetitions.  The engines alternate, so a slow spell
+    // of a loaded CI host slows both rather than flipping a gate.
+    double cold_ms = std::numeric_limits<double>::infinity();
+    double warm_ms = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 5; ++rep) {
+      cold_ms = std::min(cold_ms, time_cold());
+      warm_ms = std::min(warm_ms, time_warm());
     }
 
     const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0.0;

@@ -1,13 +1,21 @@
 #include "scenario/parser.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "obs/span.hpp"
 #include "scenario/registry.hpp"
 
@@ -197,364 +205,49 @@ std::vector<Section> parse_document(std::istream& in,
   return sections;
 }
 
-// ---- typed binding -----------------------------------------------------
+// ---- value rules -------------------------------------------------------
 
-class Binder {
- public:
-  explicit Binder(std::string file) : file_(std::move(file)) {}
-
-  std::string string(const KeyVal& kv) const {
-    if (kv.value.type != Value::Type::String)
-      fail(file_, kv.line, "'" + kv.key + "' must be a \"string\"");
-    return kv.value.str;
-  }
-  double number(const KeyVal& kv) const {
-    if (kv.value.type != Value::Type::Number)
-      fail(file_, kv.line, "'" + kv.key + "' must be a number");
-    return kv.value.num;
-  }
-  long long integer(const KeyVal& kv) const {
-    const double v = number(kv);
-    if (!std::isfinite(v) || v != std::floor(v) || std::fabs(v) > 1e15)
-      fail(file_, kv.line, "'" + kv.key + "' must be an integer");
-    return static_cast<long long>(v);
-  }
-  bool boolean(const KeyVal& kv) const {
-    if (kv.value.type != Value::Type::Bool)
-      fail(file_, kv.line, "'" + kv.key + "' must be true or false");
-    return kv.value.boolean;
-  }
-  std::vector<double> numbers(const KeyVal& kv) const {
-    if (kv.value.type != Value::Type::Array)
-      fail(file_, kv.line, "'" + kv.key + "' must be an array of numbers");
-    std::vector<double> out;
-    for (const Value& item : kv.value.items) {
-      if (item.type != Value::Type::Number)
-        fail(file_, kv.line, "'" + kv.key + "' must contain only numbers");
-      out.push_back(item.num);
-    }
-    return out;
-  }
-  std::vector<int> integers(const KeyVal& kv) const {
-    std::vector<int> out;
-    for (const double v : numbers(kv)) {
-      if (v != std::floor(v) || std::fabs(v) > 1e9)
-        fail(file_, kv.line, "'" + kv.key + "' must contain only integers");
-      out.push_back(static_cast<int>(v));
-    }
-    return out;
-  }
-  std::vector<bool> booleans(const KeyVal& kv) const {
-    if (kv.value.type != Value::Type::Array)
-      fail(file_, kv.line, "'" + kv.key + "' must be an array of booleans");
-    std::vector<bool> out;
-    for (const Value& item : kv.value.items) {
-      if (item.type != Value::Type::Bool)
-        fail(file_, kv.line,
-             "'" + kv.key + "' must contain only true/false");
-      out.push_back(item.boolean);
-    }
-    return out;
-  }
-  std::vector<std::string> strings(const KeyVal& kv) const {
-    if (kv.value.type != Value::Type::Array)
-      fail(file_, kv.line, "'" + kv.key + "' must be an array of strings");
-    std::vector<std::string> out;
-    for (const Value& item : kv.value.items) {
-      if (item.type != Value::Type::String)
-        fail(file_, kv.line, "'" + kv.key + "' must contain only strings");
-      out.push_back(item.str);
-    }
-    return out;
-  }
-  [[noreturn]] void unknown_key(const Section& s, const KeyVal& kv) const {
-    fail(file_, kv.line,
-         "unknown key '" + kv.key + "' in [" + s.name + "]");
-  }
-  const std::string& file() const { return file_; }
-
- private:
-  std::string file_;
+/// A numeric value rule: `ok` tests a value (each entry of an array)
+/// and `says` what it requires.
+struct Rule {
+  bool (*ok)(double) = nullptr;
+  const char* says = nullptr;
 };
 
-SchedulerKind scheduler_kind_from(const std::string& file, int line,
-                                  const std::string& name) {
-  if (name == "cpa") return SchedulerKind::Cpa;
-  if (name == "mcpa") return SchedulerKind::Mcpa;
-  if (name == "hcpa") return SchedulerKind::Hcpa;
-  if (name == "delta") return SchedulerKind::RatsDelta;
-  if (name == "time-cost") return SchedulerKind::RatsTimeCost;
-  fail(file, line,
-       "unknown scheduler kind '" + name +
-           "' (expected cpa, mcpa, hcpa, delta or time-cost)");
-}
+constexpr Rule kPositive{[](double v) { return v > 0; }, "must be positive"};
+constexpr Rule kNonNegative{[](double v) { return v >= 0; }, "must be >= 0"};
+constexpr Rule kAtLeastOne{[](double v) { return v >= 1; }, "must be >= 1"};
+constexpr Rule kUnit{[](double v) { return v > 0 && v <= 1; },
+                     "must be in (0, 1]"};
+constexpr Rule kTasks{[](double v) { return v >= 1 && v <= 1e6; },
+                      "must be in [1, 1000000]"};
+// The FFT kernel generator needs a power of two (fuzzing found k = 3
+// failing a requirement deep in daggen).
+constexpr Rule kFftK{[](double v) {
+                       const int k = static_cast<int>(v);
+                       return k >= 2 && k <= 16 && (k & (k - 1)) == 0;
+                     },
+                     "must be a power of two in [2, 16]"};
+constexpr Rule kTime{kNonNegative.ok, "must be finite and >= 0"};
+constexpr Rule kFactor{kPositive.ok, "must be finite and positive"};
 
-const char* scheduler_kind_name(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::Cpa: return "cpa";
-    case SchedulerKind::Mcpa: return "mcpa";
-    case SchedulerKind::Hcpa: return "hcpa";
-    case SchedulerKind::RatsDelta: return "delta";
-    case SchedulerKind::RatsTimeCost: return "time-cost";
-  }
-  return "?";
-}
+/// A string key with fixed values: an enum's names in enum order, or a
+/// string member's allowed values.
+struct Choice {
+  const char* what;
+  std::initializer_list<const char*> names;
+};
 
-void bind_scenario(const Binder& b, const Section& s, ScenarioSpec& spec) {
-  for (const KeyVal& kv : s.entries) {
-    if (kv.key == "name") spec.name = b.string(kv);
-    else if (kv.key == "kind") spec.kind = b.string(kv);
-    else if (kv.key == "threads") {
-      const long long v = b.integer(kv);
-      if (v < 0) fail(b.file(), kv.line, "'threads' must be >= 0");
-      spec.threads = static_cast<unsigned>(v);
-    } else b.unknown_key(s, kv);
-  }
-}
-
-void bind_platform(const Binder& b, const Section& s, PlatformSpec& p) {
-  int preset_line = 0, custom_line = 0;
-  for (const KeyVal& kv : s.entries) {
-    if (kv.key == "clusters") {
-      p.presets = b.strings(kv);
-      if (p.presets.empty())
-        fail(b.file(), kv.line, "'clusters' must not be empty");
-      preset_line = kv.line;
-    } else if (kv.key == "cluster") {
-      p.presets = {b.string(kv)};
-      preset_line = kv.line;
-    } else if (kv.key == "name") {
-      p.name = b.string(kv);
-      custom_line = kv.line;
-    } else if (kv.key == "nodes") {
-      const long long v = b.integer(kv);
-      if (v <= 0) fail(b.file(), kv.line, "'nodes' must be positive");
-      p.nodes = static_cast<int>(v);
-      custom_line = kv.line;
-    } else if (kv.key == "cabinets") {
-      p.cabinet_nodes = b.integers(kv);
-      if (p.cabinet_nodes.empty())
-        fail(b.file(), kv.line,
-             "'cabinets' must not be empty (a cluster needs nodes)");
-      for (const int n : p.cabinet_nodes)
-        if (n <= 0)
-          fail(b.file(), kv.line, "'cabinets' entries must be positive");
-      custom_line = kv.line;
-    } else if (kv.key == "gflops") {
-      p.gflops = b.number(kv);
-      if (p.gflops <= 0) fail(b.file(), kv.line, "'gflops' must be positive");
-      custom_line = kv.line;
-    } else if (kv.key == "latency-us") {
-      p.latency_us = b.number(kv);
-      if (p.latency_us < 0)
-        fail(b.file(), kv.line, "'latency-us' must be >= 0");
-      custom_line = kv.line;
-    } else if (kv.key == "bandwidth-gbps") {
-      p.bandwidth_gbps = b.number(kv);
-      if (p.bandwidth_gbps <= 0)
-        fail(b.file(), kv.line, "'bandwidth-gbps' must be positive");
-      custom_line = kv.line;
-    } else if (kv.key == "uplink-latency-us") {
-      p.uplink_latency_us = b.number(kv);
-      if (p.uplink_latency_us < 0)
-        fail(b.file(), kv.line, "'uplink-latency-us' must be >= 0");
-      custom_line = kv.line;
-    } else if (kv.key == "uplink-bandwidth-gbps") {
-      p.uplink_bandwidth_gbps = b.number(kv);
-      if (p.uplink_bandwidth_gbps <= 0)
-        fail(b.file(), kv.line, "'uplink-bandwidth-gbps' must be positive");
-      custom_line = kv.line;
-    } else b.unknown_key(s, kv);
-  }
-  if (preset_line && custom_line)
-    fail(b.file(), std::max(preset_line, custom_line),
-         "[platform] mixes named clusters with custom-cluster keys");
-  if (!p.cabinet_nodes.empty() && p.nodes > 0)
-    fail(b.file(), custom_line, "[platform] has both 'nodes' and 'cabinets'");
-}
-
-void bind_workload(const Binder& b, const Section& s, WorkloadSpec& w) {
-  for (const KeyVal& kv : s.entries) {
-    if (kv.key == "source") {
-      const std::string v = b.string(kv);
-      if (v == "corpus") w.source = WorkloadSpec::Source::Corpus;
-      else if (v == "family") w.source = WorkloadSpec::Source::Family;
-      else if (v == "generate") w.source = WorkloadSpec::Source::Generate;
-      else if (v == "file") w.source = WorkloadSpec::Source::File;
-      else
-        fail(b.file(), kv.line,
-             "unknown workload source '" + v +
-                 "' (expected corpus, family, generate or file)");
-    } else if (kv.key == "full") w.corpus.full = b.boolean(kv);
-    else if (kv.key == "samples-random") {
-      w.corpus.samples_random = static_cast<int>(b.integer(kv));
-      if (w.corpus.samples_random < 0)
-        fail(b.file(), kv.line, "'samples-random' must be >= 0");
-    } else if (kv.key == "samples-kernel") {
-      w.corpus.samples_kernel = static_cast<int>(b.integer(kv));
-      if (w.corpus.samples_kernel < 0)
-        fail(b.file(), kv.line, "'samples-kernel' must be >= 0");
-    } else if (kv.key == "seed") {
-      const long long v = b.integer(kv);
-      if (v < 0) fail(b.file(), kv.line, "'seed' must be >= 0");
-      w.corpus.seed = static_cast<std::uint64_t>(v);
-    } else if (kv.key == "family") w.family = b.string(kv);
-    else if (kv.key == "cap-per-family") {
-      w.cap_per_family = static_cast<int>(b.integer(kv));
-      if (w.cap_per_family < 0)
-        fail(b.file(), kv.line, "'cap-per-family' must be >= 0");
-    } else if (kv.key == "generator") w.generator = b.string(kv);
-    else if (kv.key == "count") {
-      w.count = static_cast<int>(b.integer(kv));
-      if (w.count < 1) fail(b.file(), kv.line, "'count' must be >= 1");
-    } else if (kv.key == "fft-k") {
-      w.fft_k = static_cast<int>(b.integer(kv));
-      // The FFT kernel generator requires a power of two (found by
-      // fuzzing: the old [1, 16] range let k=3 through to a raw
-      // requirement failure deep in daggen).
-      if (w.fft_k < 2 || w.fft_k > 16 || (w.fft_k & (w.fft_k - 1)) != 0)
-        fail(b.file(), kv.line,
-             "'fft-k' must be a power of two in [2, 16]");
-    } else if (kv.key == "tasks") {
-      w.dag.num_tasks = static_cast<int>(b.integer(kv));
-      if (w.dag.num_tasks < 1 || w.dag.num_tasks > 1000000)
-        fail(b.file(), kv.line, "'tasks' must be in [1, 1000000]");
-    } else if (kv.key == "width") {
-      w.dag.width = b.number(kv);
-      if (!(w.dag.width > 0) || w.dag.width > 1)
-        fail(b.file(), kv.line, "'width' must be in (0, 1]");
-    } else if (kv.key == "density") {
-      w.dag.density = b.number(kv);
-      if (!(w.dag.density > 0) || w.dag.density > 1)
-        fail(b.file(), kv.line, "'density' must be in (0, 1]");
-    } else if (kv.key == "regularity") {
-      w.dag.regularity = b.number(kv);
-      if (!(w.dag.regularity > 0) || w.dag.regularity > 1)
-        fail(b.file(), kv.line, "'regularity' must be in (0, 1]");
-    } else if (kv.key == "jump") {
-      w.dag.jump = static_cast<int>(b.integer(kv));
-      if (w.dag.jump < 1) fail(b.file(), kv.line, "'jump' must be >= 1");
-    } else if (kv.key == "generate-seed") {
-      const long long v = b.integer(kv);
-      if (v < 0) fail(b.file(), kv.line, "'generate-seed' must be >= 0");
-      w.generate_seed = static_cast<std::uint64_t>(v);
-    } else if (kv.key == "path") w.path = b.string(kv);
-    else b.unknown_key(s, kv);
-  }
-}
-
-void bind_algorithms(const Binder& b, const Section& s, AlgorithmsSpec& a) {
-  for (const KeyVal& kv : s.entries) {
-    if (kv.key == "preset") {
-      const std::string v = b.string(kv);
-      if (v != "naive" && v != "tuned")
-        fail(b.file(), kv.line,
-             "unknown algorithms preset '" + v + "' (expected naive or tuned)");
-      a.preset = v;
-    } else b.unknown_key(s, kv);
-  }
-}
-
-void bind_algorithm(const Binder& b, const Section& s, AlgorithmsSpec& a) {
-  AlgoSpec algo;
-  bool have_kind = false;
-  for (const KeyVal& kv : s.entries) {
-    if (kv.key == "name") algo.name = b.string(kv);
-    else if (kv.key == "kind") {
-      algo.options.kind =
-          scheduler_kind_from(b.file(), kv.line, b.string(kv));
-      have_kind = true;
-    } else if (kv.key == "mindelta") algo.options.rats.mindelta = b.number(kv);
-    else if (kv.key == "maxdelta") algo.options.rats.maxdelta = b.number(kv);
-    else if (kv.key == "minrho") algo.options.rats.minrho = b.number(kv);
-    else if (kv.key == "packing") algo.options.rats.packing = b.boolean(kv);
-    else if (kv.key == "secondary-sort")
-      algo.options.secondary_sort = b.boolean(kv);
-    else b.unknown_key(s, kv);
-  }
-  if (!have_kind)
-    fail(b.file(), s.line, "[algorithm] section is missing 'kind'");
-  if (algo.name.empty()) algo.name = scheduler_kind_name(algo.options.kind);
-  a.preset.clear();
-  a.algos.push_back(std::move(algo));
-}
-
-void bind_sweep(const Binder& b, const Section& s, SweepSpec& sw) {
-  // An explicitly written empty grid ([]) is always a mistake: the axis
-  // would silently vanish from the sweep cross product (or leave fig4/
-  // fig5 on their paper grids), which is indistinguishable from a typo.
-  const auto grid = [&](const KeyVal& kv) {
-    auto values = b.numbers(kv);
-    if (values.empty())
-      fail(b.file(), kv.line,
-           "'" + kv.key + "' grid must not be empty (omit the key to use "
-           "the default grid)");
-    return values;
-  };
-  for (const KeyVal& kv : s.entries) {
-    if (kv.key == "mindelta") sw.mindeltas = grid(kv);
-    else if (kv.key == "maxdelta") sw.maxdeltas = grid(kv);
-    else if (kv.key == "minrho") sw.minrhos = grid(kv);
-    else if (kv.key == "packing") {
-      sw.packings = b.booleans(kv);
-      if (sw.packings.empty())
-        fail(b.file(), kv.line,
-             "'packing' grid must not be empty (omit the key to use the "
-             "default grid)");
-    } else if (kv.key == "event-factor") {
-      sw.event_factors = grid(kv);
-      for (const double f : sw.event_factors)
-        if (!(f > 0) || !std::isfinite(f))
-          fail(b.file(), kv.line,
-               "'event-factor' values must be finite and positive");
-    } else if (kv.key == "event-at") {
-      sw.event_ats = grid(kv);
-      for (const double t : sw.event_ats)
-        if (!(t >= 0) || !std::isfinite(t))
-          fail(b.file(), kv.line,
-               "'event-at' values must be finite and >= 0");
-    } else if (kv.key == "base") {
-      const std::string v = b.string(kv);
-      if (v != "delta" && v != "time-cost")
-        fail(b.file(), kv.line,
-             "unknown sweep base '" + v + "' (expected delta or time-cost)");
-      sw.base = v;
-    } else b.unknown_key(s, kv);
-  }
-}
-
-void bind_output(const Binder& b, const Section& s, OutputSpec& o) {
-  for (const KeyVal& kv : s.entries) {
-    if (kv.key == "csv") o.csv = b.boolean(kv);
-    else if (kv.key == "gantt") o.gantt = b.boolean(kv);
-    else if (kv.key == "report-csv") {
-      o.report_csv = b.string(kv);
-      o.report_csv_line = kv.line;
-    } else if (kv.key == "report-json") {
-      o.report_json = b.string(kv);
-      o.report_json_line = kv.line;
-    } else if (kv.key == "trace") {
-      o.trace = b.string(kv);
-      o.trace_line = kv.line;
-    } else if (kv.key == "trace-gzip") {
-      o.trace_gzip = b.boolean(kv);
-    } else b.unknown_key(s, kv);
-  }
-}
-
-void bind_events(const Binder& b, const Section& s, EventsSpec& ev) {
-  for (const KeyVal& kv : s.entries) {
-    if (kv.key == "on-fail") {
-      const std::string v = b.string(kv);
-      if (v == "reschedule") ev.timeline.on_fail = FailPolicy::Reschedule;
-      else if (v == "hold") ev.timeline.on_fail = FailPolicy::Hold;
-      else
-        fail(b.file(), kv.line,
-             "unknown on-fail policy '" + v +
-                 "' (expected reschedule or hold)");
-    } else b.unknown_key(s, kv);
-  }
-}
+constexpr Choice kSources{"workload source",
+                          {"corpus", "family", "generate", "file"}};
+constexpr Choice kSchedulers{"scheduler kind",
+                             {"cpa", "mcpa", "hcpa", "delta", "time-cost"}};
+constexpr Choice kEventKinds{
+    "event kind",
+    {"link-capacity", "node-slowdown", "node-fail", "node-restart"}};
+constexpr Choice kPolicies{"on-fail policy", {"reschedule", "hold"}};
+constexpr Choice kPresets{"algorithms preset", {"naive", "tuned"}};
+constexpr Choice kBases{"sweep base", {"delta", "time-cost"}};
 
 /// One parsed [event] section before node-set expansion.  `nodes` and
 /// cabinet node groups are parse-time sugar: they expand into one
@@ -570,78 +263,514 @@ struct ProtoEvent {
   int line = 0;  ///< section line, for expansion-time diagnostics
 };
 
-void bind_event(const Binder& b, const Section& s,
-                std::vector<ProtoEvent>& protos) {
-  ProtoEvent pe;
-  pe.line = s.line;
-  PlatformEvent& e = pe.event;
-  bool have_kind = false, have_at = false, have_factor = false;
-  int kind_line = s.line;
-  for (const KeyVal& kv : s.entries) {
-    if (kv.key == "at") {
-      e.at = b.number(kv);
-      have_at = true;
-      if (!(e.at >= 0) || !std::isfinite(e.at))
-        fail(b.file(), kv.line, "'at' must be finite and >= 0");
-    } else if (kv.key == "kind") {
-      const std::string v = b.string(kv);
-      bool ok = false;
-      e.kind = platform_event_kind_from(v, ok);
-      if (!ok)
-        fail(b.file(), kv.line,
-             "unknown event kind '" + v +
-                 "' (expected link-capacity, node-slowdown, node-fail or "
-                 "node-restart)");
-      have_kind = true;
-      kind_line = kv.line;
-    } else if (kv.key == "node") {
-      e.node = static_cast<NodeId>(b.integer(kv));
-      if (e.node < 0) fail(b.file(), kv.line, "'node' must be >= 0");
-    } else if (kv.key == "nodes") {
-      pe.nodes = b.integers(kv);
-      if (pe.nodes.empty())
-        fail(b.file(), kv.line, "'nodes' must not be empty");
-      for (const int n : pe.nodes)
-        if (n < 0) fail(b.file(), kv.line, "'nodes' entries must be >= 0");
-    } else if (kv.key == "cabinet") {
-      e.cabinet = static_cast<int>(b.integer(kv));
-      if (e.cabinet < 0) fail(b.file(), kv.line, "'cabinet' must be >= 0");
-    } else if (kv.key == "factor") {
-      e.factor = b.number(kv);
-      have_factor = true;
-      if (!(e.factor > 0) || !std::isfinite(e.factor))
-        fail(b.file(), kv.line, "'factor' must be finite and positive");
-    } else b.unknown_key(s, kv);
+// ---- the key lists -----------------------------------------------------
+//
+// Each section's keys are written once, as an ordered list that three
+// archives walk: Bind sets a spec from text, Check rejects a section or
+// key that a spec gives but does not read, and Emit writes canonical
+// text.  An entry
+//
+//   a.key(name, member, rule, read, emit)
+//
+// names the key's target member (whose type is the value's), its value
+// rule, whether this spec reads it, and whether canonical text writes
+// it when read: false leaves out a default that stays implicit, and an
+// empty array is never written.  `read` is computed from the spec
+// itself, so Check and Emit walk bound specs only.  A list opens with
+// the same for its section, whose keys are read only when it is.
+
+/// Whether a spec reads a key or section.  `why` is null when the
+/// spec's own values let it, else the condition they miss; `input`,
+/// when set, is the optional input it gives (registry.hpp), which the
+/// spec's kind must read.
+struct Read {
+  Read() = default;
+  Read(Input in) : input(in) {}
+  const char* why = nullptr;
+  std::optional<Input> input;
+};
+
+Read when(bool holds, const char* why) {
+  Read r;
+  if (!holds) r.why = why;
+  return r;
+}
+
+/// `cluster = "x"`: a `clusters` list of one.
+template <class V>
+struct One {
+  V& list;
+};
+
+template <class A, class S>
+void scenario_keys(A& a, S& s) {
+  a.section("scenario");
+  a.key("name", s.name);
+  a.key("kind", s.kind);
+  // An execution detail, not semantics: never emitted, so canonical
+  // text (and the trace headers holding it) stay the same across
+  // worker counts.
+  a.key("threads", s.threads, {}, {}, false);
+}
+
+template <class A, class S>
+void platform_keys(A& a, S& s) {
+  auto& p = s.platform;
+  const bool custom = p.presets.empty();
+  const Read in_custom = when(custom, "in a custom cluster");
+  const Read with_cabinets =
+      when(custom && !p.cabinet_nodes.empty(), "with 'cabinets'");
+  a.section("platform");
+  a.key("clusters", p.presets, {}, {}, p.presets.size() > 1);
+  a.key("cluster", One{p.presets}, {}, {}, p.presets.size() == 1);
+  a.key("name", p.name, {}, in_custom);
+  a.key("cabinets", p.cabinet_nodes, kPositive, in_custom);
+  // 0 nodes is an unset platform, which parses back without the key.
+  a.key("nodes", p.nodes, kPositive, in_custom,
+        p.cabinet_nodes.empty() && p.nodes > 0);
+  a.key("gflops", p.gflops, kPositive, in_custom);
+  a.key("latency-us", p.latency_us, kNonNegative, in_custom);
+  a.key("bandwidth-gbps", p.bandwidth_gbps, kPositive, in_custom);
+  a.key("uplink-latency-us", p.uplink_latency_us, kNonNegative,
+        with_cabinets);
+  a.key("uplink-bandwidth-gbps", p.uplink_bandwidth_gbps, kPositive,
+        with_cabinets);
+}
+
+template <class A, class S>
+void workload_keys(A& a, S& s) {
+  auto& w = s.workload;
+  using Source = WorkloadSpec::Source;
+  const bool generate = w.source == Source::Generate;
+  const Read corpus =
+      when(w.source == Source::Corpus || w.source == Source::Family,
+           "with source = \"corpus\" or \"family\"");
+  const Read generated = when(generate, "with source = \"generate\"");
+  const Read random = when(
+      generate && w.generator != "fft" && w.generator != "strassen",
+      "with source = \"generate\" and a layered or irregular generator");
+  a.section("workload");
+  a.key("source", w.source, kSources,
+        w.source == Source::Corpus ? Read{} : Read{Input::kOtherSources});
+  a.key("family", w.family, {},
+        when(w.source == Source::Family, "with source = \"family\""));
+  a.key("full", w.corpus.full, {}, corpus);
+  a.key("samples-random", w.corpus.samples_random, kNonNegative, corpus);
+  a.key("samples-kernel", w.corpus.samples_kernel, kNonNegative, corpus);
+  a.key("seed", w.corpus.seed, {}, corpus);
+  a.key("cap-per-family", w.cap_per_family, kNonNegative, corpus,
+        w.cap_per_family > 0);
+  a.key("generator", w.generator, {}, generated);
+  a.key("count", w.count, kAtLeastOne, generated);
+  a.key("fft-k", w.fft_k, kFftK,
+        when(generate && w.generator == "fft",
+             "with source = \"generate\" and generator = \"fft\""));
+  a.key("tasks", w.dag.num_tasks, kTasks, random);
+  a.key("width", w.dag.width, kUnit, random);
+  a.key("density", w.dag.density, kUnit, random);
+  a.key("regularity", w.dag.regularity, kUnit, random);
+  a.key("jump", w.dag.jump, kAtLeastOne,
+        when(generate && w.generator == "irregular",
+             "with source = \"generate\" and generator = \"irregular\""));
+  a.key("generate-seed", w.generate_seed, {}, generated);
+  a.key("path", w.path, {},
+        when(w.source == Source::File, "with source = \"file\""));
+}
+
+template <class A, class S>
+void algorithms_keys(A& a, S& s) {
+  auto& al = s.algorithms;
+  a.section("algorithms", al.tuned() ? Read{Input::kTunedPreset} : Read{},
+            !al.preset.empty());
+  a.key("preset", al.preset, kPresets);
+}
+
+template <class A, class Algo>
+void algorithm_keys(A& a, Algo& algo) {
+  auto& o = algo.options;
+  const Read delta =
+      when(o.kind == SchedulerKind::RatsDelta, "by a delta [algorithm]");
+  const Read time_cost = when(o.kind == SchedulerKind::RatsTimeCost,
+                              "by a time-cost [algorithm]");
+  a.section("algorithm", Input::kAlgorithmList);
+  a.key("name", algo.name);
+  a.key("kind", o.kind, kSchedulers);
+  a.key("mindelta", o.rats.mindelta, {}, delta);
+  a.key("maxdelta", o.rats.maxdelta, {}, delta);
+  a.key("minrho", o.rats.minrho, {}, time_cost);
+  a.key("packing", o.rats.packing, {}, time_cost);
+  a.key("secondary-sort", o.secondary_sort, {}, {}, !o.secondary_sort);
+}
+
+template <class A, class S>
+void events_keys(A& a, S& s) {
+  auto& timeline = s.events.timeline;
+  // A bare [events] emits nothing: healthy specs, and the trace headers
+  // holding them, stay the same with or without it.
+  a.section("events", {}, !timeline.empty());
+  a.key("on-fail", timeline.on_fail, kPolicies, Input::kEvents);
+}
+
+template <class A, class P>
+void event_keys(A& a, P& pe) {
+  auto& e = pe.event;
+  a.section("event", Input::kEvents);
+  a.key("at", e.at, kTime);
+  a.key("kind", e.kind, kEventKinds);
+  a.key("node", e.node, kNonNegative, {}, e.node >= 0);
+  a.key("nodes", pe.nodes, kNonNegative);
+  a.key("cabinet", e.cabinet, kNonNegative, {}, e.cabinet >= 0);
+  a.key("factor", e.factor, kFactor,
+        when(e.kind == PlatformEventKind::LinkCapacity ||
+                 e.kind == PlatformEventKind::NodeSlowdown,
+             "by link-capacity and node-slowdown events"));
+}
+
+template <class A, class S>
+void sweep_keys(A& a, S& s) {
+  auto& sw = s.sweep;
+  a.section("sweep", {}, !sw.empty());
+  a.key("base", sw.base, kBases, Input::kBase);
+  a.key("mindelta", sw.mindeltas, {}, Input::kMindelta);
+  a.key("maxdelta", sw.maxdeltas, {}, Input::kMaxdelta);
+  a.key("minrho", sw.minrhos, {}, Input::kMinrho);
+  a.key("packing", sw.packings, {}, Input::kPacking);
+  a.key("event-factor", sw.event_factors, kFactor, Input::kEventFactor);
+  a.key("event-at", sw.event_ats, kTime, Input::kEventAt);
+}
+
+template <class A, class S>
+void output_keys(A& a, S& s) {
+  auto& o = s.output;
+  a.section("output");
+  a.key("csv", o.csv);
+  a.key("gantt", o.gantt, {}, {}, o.gantt);
+  a.key("report-csv", o.report_csv, {}, {}, !o.report_csv.empty());
+  a.key("report-json", o.report_json, {}, {}, !o.report_json.empty());
+  a.key("trace", o.trace, {}, {}, !o.trace.empty());
+  a.key("trace-gzip", o.trace_gzip, {}, {}, o.trace_gzip);
+}
+
+/// Calls `visit` with a generic lambda walking the key list of section
+/// `name` (its `index`-th element when repeatable); false when no
+/// section has that name.
+template <class F>
+bool with_keys(const std::string& name, std::size_t index,
+               ScenarioSpec& spec, std::vector<ProtoEvent>& protos,
+               F&& visit) {
+  if (name == "scenario") visit([&](auto& a) { scenario_keys(a, spec); });
+  else if (name == "platform") visit([&](auto& a) { platform_keys(a, spec); });
+  else if (name == "workload") visit([&](auto& a) { workload_keys(a, spec); });
+  else if (name == "algorithms")
+    visit([&](auto& a) { algorithms_keys(a, spec); });
+  else if (name == "algorithm")
+    visit([&](auto& a) { algorithm_keys(a, spec.algorithms.algos[index]); });
+  else if (name == "events") visit([&](auto& a) { events_keys(a, spec); });
+  else if (name == "event")
+    visit([&](auto& a) { event_keys(a, protos[index]); });
+  else if (name == "sweep") visit([&](auto& a) { sweep_keys(a, spec); });
+  else if (name == "output") visit([&](auto& a) { output_keys(a, spec); });
+  else return false;
+  return true;
+}
+
+// ---- the archives ------------------------------------------------------
+
+/// True when a spec of `kind` reads `read`.
+bool reads(const Read& read, const std::string& kind) {
+  return read.why == nullptr &&
+         (!read.input || unread(kind, *read.input).empty());
+}
+
+std::string quote(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (c == '\n') { out += "\\n"; continue; }
+    if (c == '\t') { out += "\\t"; continue; }
+    out += c;
   }
-  if (!have_kind) fail(b.file(), s.line, "[event] section is missing 'kind'");
-  if (!have_at) fail(b.file(), s.line, "[event] section is missing 'at'");
-  const int selectors =
-      (e.node >= 0 ? 1 : 0) + (!pe.nodes.empty() ? 1 : 0) +
-      (e.cabinet >= 0 ? 1 : 0);
+  out += '"';
+  return out;
+}
+
+/// "a, b or c".
+std::string one_of(std::initializer_list<const char*> names) {
+  std::string out = names.begin()[0];
+  for (std::size_t i = 1; i < names.size(); ++i)
+    out += (i + 1 < names.size() ? ", " : " or ") +
+           std::string(names.begin()[i]);
+  return out;
+}
+
+/// Binds one given key, `kv`, to its list entry.  One walk per key keeps
+/// the errors in the text's order.
+class Bind {
+ public:
+  Bind(const std::string& file, const Section& s, const KeyVal& kv)
+      : file_(file), section_(s.name), kv_(kv) {}
+  bool found() const { return found_; }
+
+  void section(const char*, const Read& = {}, bool = true) {}
+  template <class T, class R = Rule>
+  void key(std::string_view name, T&& target, const R& rule = {},
+           const Read& = {}, bool = true) {
+    if (found_ || kv_.key != name) return;
+    found_ = true;
+    set(target, rule);
+  }
+
+ private:
+  [[noreturn]] void fail_key(const std::string& what) const {
+    fail(file_, kv_.line, "'" + kv_.key + "' " + what);
+  }
+
+  // Scalar conversions; an array `item` says "must contain only ...".
+  void get(const Value& v, std::string& out, bool item) const {
+    if (v.type != Value::Type::String)
+      fail_key(item ? "must contain only strings" : "must be a \"string\"");
+    out = v.str;
+  }
+  void get(const Value& v, bool& out, bool item) const {
+    if (v.type != Value::Type::Bool)
+      fail_key(item ? "must contain only true/false"
+                    : "must be true or false");
+    out = v.boolean;
+  }
+  void get(const Value& v, double& out, bool item) const {
+    if (v.type != Value::Type::Number)
+      fail_key(item ? "must contain only numbers" : "must be a number");
+    out = v.num;
+  }
+  /// An integer must fit its member's type, and stay exact as a double.
+  template <std::integral I>
+  void get(const Value& v, I& out, bool item) const {
+    double d = 0;
+    get(v, d, item);
+    const double lo = std::max<double>(std::numeric_limits<I>::min(), -1e15);
+    const double hi = std::min<double>(std::numeric_limits<I>::max(), 1e15);
+    if (d != std::floor(d) || d < lo || d > hi)
+      fail_key(strf(item ? "must contain only integers in [%.0f, %.0f]"
+                         : "must be an integer in [%.0f, %.0f]",
+                    lo, hi));
+    out = static_cast<I>(d);
+  }
+
+  template <class T>
+  void test(const Rule& rule, const T& value, const char* noun) const {
+    if constexpr (std::is_arithmetic_v<T>)
+      if (rule.ok != nullptr && !rule.ok(static_cast<double>(value)))
+        fail_key(noun + std::string(rule.says));
+  }
+
+  template <class T>
+  void set(T& target, const Rule& rule) {
+    get(kv_.value, target, false);
+    test(rule, target, "");
+  }
+  template <class T>
+  void set(std::vector<T>& target, const Rule& rule) {
+    if (kv_.value.type != Value::Type::Array)
+      fail_key(std::string("must be an array of ") +
+               (std::is_same_v<T, bool>          ? "booleans"
+                : std::is_same_v<T, std::string> ? "strings"
+                                                 : "numbers"));
+    target.clear();
+    for (const Value& item : kv_.value.items) {
+      T value{};
+      get(item, value, true);
+      test(rule, value, "entries ");
+      target.push_back(value);
+    }
+    // An empty grid would silently drop its axis from the sweep (or
+    // leave fig4/fig5 on the paper's grid), like a typo would.
+    if (target.empty())
+      fail_key(section_ == "sweep" ? "grid must not be empty (omit the key "
+                                     "to use the default grid)"
+                                   : "must not be empty");
+  }
+  template <class V>
+  void set(One<V>& target, const Rule&) {
+    std::string name;
+    get(kv_.value, name, false);
+    target.list = {name};
+  }
+  template <class T>
+  void set(T& target, const Choice& choice) {
+    std::string name;
+    get(kv_.value, name, false);
+    const auto it = std::find(choice.names.begin(), choice.names.end(), name);
+    if (it == choice.names.end())
+      fail(file_, kv_.line,
+           "unknown " + std::string(choice.what) + " '" + name +
+               "' (expected " + one_of(choice.names) + ")");
+    if constexpr (std::is_enum_v<T>)
+      target = static_cast<T>(it - choice.names.begin());
+    else
+      target = name;
+  }
+
+  const std::string& file_;
+  const std::string& section_;
+  const KeyVal& kv_;
+  bool found_ = false;
+};
+
+/// Fails on the first section or key that `s` gives but the spec does
+/// not read.  It only tests the read flags, once every section is bound.
+class Check {
+ public:
+  Check(const std::string& file, const Section& s, const std::string& kind)
+      : file_(file), s_(s), kind_(kind) {}
+
+  void section(const char*, const Read& read = {}, bool = true) const {
+    if (!reads(read, kind_))
+      fail(file_, s_.line, error(read, "[" + s_.name + "]"));
+  }
+  template <class T, class R = Rule>
+  void key(std::string_view name, const T&, const R& = {},
+           const Read& read = {}, bool = true) const {
+    if (read.why == nullptr && !read.input) return;
+    for (const KeyVal& kv : s_.entries)
+      if (kv.key == name && !reads(read, kind_))
+        fail(file_, kv.line,
+             error(read, "[" + s_.name + "] key '" + kv.key + "'"));
+  }
+
+ private:
+  std::string error(const Read& read, const std::string& what) const {
+    return read.why != nullptr ? what + " is read only " + read.why
+                               : unread(kind_, *read.input);
+  }
+
+  const std::string& file_;
+  const Section& s_;
+  const std::string& kind_;
+};
+
+/// Writes canonical text: each read section and key in list order, but
+/// the implicit ones.
+class Emit {
+ public:
+  explicit Emit(const std::string& kind) : kind_(kind) {}
+  std::string out;
+
+  void section(const char* name, const Read& read = {}, bool emit = true) {
+    on_ = emit && reads(read, kind_);
+    if (!on_) return;
+    if (sections_++ > 0) out += '\n';
+    out += std::string("[") + name + "]\n";
+  }
+  template <class T, class R = Rule>
+  void key(std::string_view name, const T& value, const R& rule = {},
+           const Read& read = {}, bool emit = true) {
+    if (!on_ || !emit || empty(value) || !reads(read, kind_)) return;
+    out += name;
+    out += " = ";
+    if constexpr (std::is_enum_v<T>)  // `rule` is its Choice
+      out += quote(rule.names.begin()[static_cast<int>(value)]);
+    else
+      out += plain(value);
+    out += '\n';
+  }
+
+ private:
+  template <class T>
+  static bool empty(const T&) { return false; }
+  template <class T>
+  static bool empty(const std::vector<T>& v) { return v.empty(); }
+
+  static std::string plain(const std::string& v) { return quote(v); }
+  static std::string plain(bool v) { return v ? "true" : "false"; }
+  static std::string plain(double v) {
+    char buf[40];
+    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) <= 1e15)
+      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    else
+      std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+  }
+  template <std::integral I>
+  static std::string plain(I v) { return std::to_string(v); }
+  template <class V>
+  static std::string plain(const One<V>& v) { return quote(v.list.front()); }
+  template <class T>
+  static std::string plain(const std::vector<T>& values) {
+    std::string out = "[";
+    for (std::size_t i = 0; i < values.size(); ++i)
+      out += (i ? ", " : "") + plain(static_cast<T>(values[i]));
+    return out + "]";
+  }
+
+  const std::string& kind_;
+  bool on_ = false;
+  int sections_ = 0;
+};
+
+// ---- checks that tie keys together -------------------------------------
+
+/// The line of `key` in `s` (0 when `s` does not give it).
+int line_of(const Section& s, const char* key) {
+  for (const KeyVal& kv : s.entries)
+    if (kv.key == key) return kv.line;
+  return 0;
+}
+
+void finish_event(const std::string& file, const Section& s,
+                  ProtoEvent& pe) {
+  const PlatformEvent& e = pe.event;
+  const int kind_line = line_of(s, "kind");
+  if (kind_line == 0) fail(file, s.line, "[event] section is missing 'kind'");
+  if (line_of(s, "at") == 0)
+    fail(file, s.line, "[event] section is missing 'at'");
+  const int selectors = (e.node >= 0 ? 1 : 0) + (!pe.nodes.empty() ? 1 : 0) +
+                        (e.cabinet >= 0 ? 1 : 0);
   const std::string what = std::string(to_string(e.kind)) + " event";
   if (selectors != 1)
-    fail(b.file(), kind_line,
+    fail(file, kind_line,
          what + " needs exactly one of 'node', 'nodes' or 'cabinet'");
-  switch (e.kind) {
-    case PlatformEventKind::LinkCapacity:
-      // `cabinet` here keeps its link meaning: the cabinet's uplink
-      // pair.  `nodes` expands to per-node NIC-pair events.
-      if (!have_factor)
-        fail(b.file(), kind_line, what + " is missing 'factor'");
-      break;
-    case PlatformEventKind::NodeSlowdown:
-      if (!have_factor)
-        fail(b.file(), kind_line, what + " is missing 'factor'");
-      pe.cabinet_group = e.cabinet >= 0;
-      break;
-    case PlatformEventKind::NodeFail:
-    case PlatformEventKind::NodeRestart:
-      if (have_factor)
-        fail(b.file(), kind_line, what + " does not take 'factor'");
-      pe.cabinet_group = e.cabinet >= 0;
-      break;
+  const bool scales = e.kind == PlatformEventKind::LinkCapacity ||
+                      e.kind == PlatformEventKind::NodeSlowdown;
+  const bool have_factor = line_of(s, "factor") != 0;
+  if (scales && !have_factor)
+    fail(file, kind_line, what + " is missing 'factor'");
+  if (!scales && have_factor)
+    fail(file, kind_line, what + " does not take 'factor'");
+  // On a link-capacity event `cabinet` keeps its link meaning (the
+  // cabinet's uplink pair); `nodes` expands to per-node NIC-pair events.
+  pe.cabinet_group =
+      e.kind != PlatformEventKind::LinkCapacity && e.cabinet >= 0;
+  pe.line = s.line;
+}
+
+/// Checks a bound section's keys against each other.
+void finish_section(const std::string& file, const Section& s,
+                    ScenarioSpec& spec, std::vector<ProtoEvent>& protos) {
+  if (s.name == "platform") {
+    int preset_line = 0, custom_line = 0;
+    for (const KeyVal& kv : s.entries)
+      (kv.key == "cluster" || kv.key == "clusters" ? preset_line
+                                                   : custom_line) = kv.line;
+    if (preset_line && custom_line)
+      fail(file, std::max(preset_line, custom_line),
+           "[platform] mixes named clusters with custom-cluster keys");
+    if (!spec.platform.cabinet_nodes.empty() && spec.platform.nodes > 0)
+      fail(file, custom_line, "[platform] has both 'nodes' and 'cabinets'");
+  } else if (s.name == "algorithm") {
+    AlgoSpec& algo = spec.algorithms.algos.back();
+    if (line_of(s, "kind") == 0)
+      fail(file, s.line, "[algorithm] section is missing 'kind'");
+    if (algo.name.empty())
+      algo.name =
+          kSchedulers.names.begin()[static_cast<int>(algo.options.kind)];
+    spec.algorithms.preset.clear();
+  } else if (s.name == "event") {
+    finish_event(file, s, protos.back());
+  } else if (s.name == "output") {
+    spec.output.report_csv_line = line_of(s, "report-csv");
+    spec.output.report_json_line = line_of(s, "report-json");
+    spec.output.trace_line = line_of(s, "trace");
   }
-  protos.push_back(std::move(pe));
 }
 
 /// Expands the node-set sugar of every [event] into per-node events, in
@@ -704,17 +833,22 @@ void expand_events(const std::string& filename,
 
 ScenarioSpec parse_scenario(std::istream& in, const std::string& filename) {
   obs::PhaseTimer span("parse");
-  const Binder b(filename);
   const std::vector<Section> sections = parse_document(in, filename);
   ScenarioSpec spec;
   std::vector<ProtoEvent> protos;
-  bool have_scenario = false, have_algorithms = false;
-  int algorithms_line = 0, algorithm_line = 0;
-  const Section* sweep = nullptr;
-  // Non-repeatable sections seen so far (name -> first line).
+  // The element each repeatable section binds, and the first line of
+  // each other section.
+  std::vector<std::size_t> element(sections.size());
   std::vector<std::pair<std::string, int>> seen;
-  for (const Section& s : sections) {
-    if (s.name != "algorithm" && s.name != "event") {
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const Section& s = sections[i];
+    if (s.name == "algorithm") {
+      element[i] = spec.algorithms.algos.size();
+      spec.algorithms.algos.emplace_back();
+    } else if (s.name == "event") {
+      element[i] = protos.size();
+      protos.emplace_back();
+    } else {
       for (const auto& [name, line] : seen)
         if (name == s.name)
           fail(filename, s.line,
@@ -722,71 +856,60 @@ ScenarioSpec parse_scenario(std::istream& in, const std::string& filename) {
                    std::to_string(line) + ")");
       seen.emplace_back(s.name, s.line);
     }
-    if (s.name == "scenario") {
-      have_scenario = true;
-      bind_scenario(b, s, spec);
-    } else if (s.name == "platform") {
-      bind_platform(b, s, spec.platform);
-    } else if (s.name == "workload") {
-      bind_workload(b, s, spec.workload);
-    } else if (s.name == "algorithms") {
-      have_algorithms = true;
-      algorithms_line = s.line;
-      bind_algorithms(b, s, spec.algorithms);
-    } else if (s.name == "algorithm") {
-      if (algorithm_line == 0) algorithm_line = s.line;
-      bind_algorithm(b, s, spec.algorithms);
-    } else if (s.name == "sweep") {
-      sweep = &s;
-      bind_sweep(b, s, spec.sweep);
-    } else if (s.name == "events") {
-      bind_events(b, s, spec.events);
-    } else if (s.name == "event") {
-      bind_event(b, s, protos);
-    } else if (s.name == "output") {
-      bind_output(b, s, spec.output);
-    } else {
+    const bool known =
+        with_keys(s.name, element[i], spec, protos, [&](auto&& keys) {
+          for (const KeyVal& kv : s.entries) {
+            Bind bind(filename, s, kv);
+            keys(bind);
+            if (!bind.found())
+              fail(filename, kv.line,
+                   "unknown key '" + kv.key + "' in [" + s.name + "]");
+          }
+        });
+    if (!known)
       fail(filename, s.line,
            "unknown section [" + s.name +
                "] (expected scenario, platform, workload, algorithms, "
                "algorithm, events, event, sweep or output)");
-    }
+    finish_section(filename, s, spec, protos);
   }
   expand_events(filename, protos, spec);
-  if (have_algorithms && !spec.algorithms.algos.empty())
+  const auto section_line = [&](const char* name) {
+    for (const auto& [n, line] : seen)
+      if (n == name) return line;
+    return 0;
+  };
+  const int algorithms_line = section_line("algorithms");
+  if (algorithms_line != 0 && !spec.algorithms.algos.empty())
     fail(filename, algorithms_line,
          "[algorithms] preset conflicts with explicit [algorithm] sections");
-  if (!have_scenario) fail(filename, 1, "missing [scenario] section");
+  if (section_line("scenario") == 0)
+    fail(filename, 1, "missing [scenario] section");
   if (spec.kind.empty())
     fail(filename, 1, "[scenario] section is missing 'kind'");
-  if (sweep != nullptr) {
-    for (const KeyVal& kv : sweep->entries) {
-      const std::string why = unread_sweep_key(spec.kind, kv.key);
-      if (!why.empty()) fail(filename, kv.line, why);
-    }
-  }
-  if (algorithm_line != 0 || have_algorithms) {
-    const std::string why =
-        unread_algorithms(spec.kind, spec.algorithms.preset);
-    if (!why.empty())
-      fail(filename, algorithm_line != 0 ? algorithm_line : algorithms_line,
-           why);
-  }
+  // Every section and key given must be read, now that the flags can
+  // be computed.
+  for (std::size_t i = 0; i < sections.size(); ++i)
+    with_keys(sections[i].name, element[i], spec, protos, [&](auto&& keys) {
+      Check check(filename, sections[i], spec.kind);
+      keys(check);
+    });
+  const int sweep_line = section_line("sweep");
   if (spec.kind == "sweep") {
     // The generic sweep kind crosses the [sweep] grids over the base
     // algorithm; an all-empty section has nothing to sweep.
-    if (sweep == nullptr)
+    if (sweep_line == 0)
       fail(filename, 1,
            "kind \"sweep\" needs a [sweep] section with at least one "
            "parameter grid");
     if (spec.sweep.empty())
-      fail(filename, sweep->line,
+      fail(filename, sweep_line,
            "[sweep] must give at least one non-empty grid (mindelta, "
            "maxdelta, minrho, packing, event-factor or event-at) for kind "
            "\"sweep\"");
   }
   if (spec.sweep.sweeps_events() && spec.events.empty())
-    fail(filename, sweep != nullptr ? sweep->line : 1,
+    fail(filename, sweep_line != 0 ? sweep_line : 1,
          "[sweep] has an event axis but the scenario has no [event] "
          "sections to sweep");
   if (spec.name.empty()) spec.name = spec.kind;
@@ -808,205 +931,28 @@ ScenarioSpec load_scenario(const std::string& path) {
   return parse_scenario(in, path);
 }
 
-// ---- canonical emission ------------------------------------------------
-
-namespace {
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    if (c == '\t') { out += "\\t"; continue; }
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string num(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) <= 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string num_list(const std::vector<double>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i)
-    out += (i ? ", " : "") + num(values[i]);
-  return out + "]";
-}
-
-}  // namespace
-
 std::string emit_scenario(const ScenarioSpec& spec) {
-  std::string out;
-  // The name is quoted on its key line below; the comment line gets a
-  // sanitized copy (a raw newline or '#'-significant char here would
-  // break the emitted text's own parse).
+  Emit e(spec.kind);
+  // The name is quoted on its key line; the comment line gets a copy
+  // without control characters, which would break the text's own parse.
   std::string comment_name = spec.name;
   for (char& c : comment_name)
     if (static_cast<unsigned char>(c) < 0x20) c = ' ';
-  out += "# " + comment_name + " — RATS scenario (canonical form)\n";
-  out += "[scenario]\n";
-  out += "name = " + quote(spec.name) + "\n";
-  out += "kind = " + quote(spec.kind) + "\n";
-  // `threads` is an execution detail, not scenario semantics: it is
-  // parsed (so files may pin it) but never emitted, keeping canonical
-  // text — and hence trace headers — identical across worker counts.
-
-  const PlatformSpec& p = spec.platform;
-  out += "\n[platform]\n";
-  if (!p.is_custom()) {
-    if (p.presets.size() == 1) {
-      out += "cluster = " + quote(p.presets.front()) + "\n";
-    } else {
-      out += "clusters = [";
-      for (std::size_t i = 0; i < p.presets.size(); ++i)
-        out += (i ? ", " : "") + quote(p.presets[i]);
-      out += "]\n";
-    }
-  } else {
-    out += "name = " + quote(p.name) + "\n";
-    if (!p.cabinet_nodes.empty()) {
-      out += "cabinets = [";
-      for (std::size_t i = 0; i < p.cabinet_nodes.size(); ++i)
-        out += (i ? ", " : "") + std::to_string(p.cabinet_nodes[i]);
-      out += "]\n";
-    } else {
-      out += "nodes = " + std::to_string(p.nodes) + "\n";
-    }
-    out += "gflops = " + num(p.gflops) + "\n";
-    out += "latency-us = " + num(p.latency_us) + "\n";
-    out += "bandwidth-gbps = " + num(p.bandwidth_gbps) + "\n";
-    if (!p.cabinet_nodes.empty()) {
-      out += "uplink-latency-us = " + num(p.uplink_latency_us) + "\n";
-      out += "uplink-bandwidth-gbps = " + num(p.uplink_bandwidth_gbps) + "\n";
-    }
+  e.out = "# " + comment_name + " — RATS scenario (canonical form)\n";
+  scenario_keys(e, spec);
+  platform_keys(e, spec);
+  workload_keys(e, spec);
+  algorithms_keys(e, spec);
+  if (spec.algorithms.preset.empty())
+    for (const AlgoSpec& algo : spec.algorithms.algos) algorithm_keys(e, algo);
+  events_keys(e, spec);
+  for (const PlatformEvent& event : spec.events.timeline.events) {
+    const ProtoEvent pe{event, {}};
+    event_keys(e, pe);
   }
-
-  const WorkloadSpec& w = spec.workload;
-  out += "\n[workload]\n";
-  switch (w.source) {
-    case WorkloadSpec::Source::Corpus:
-    case WorkloadSpec::Source::Family:
-      out += std::string("source = ") +
-             (w.source == WorkloadSpec::Source::Corpus ? "\"corpus\""
-                                                       : "\"family\"") +
-             "\n";
-      if (w.source == WorkloadSpec::Source::Family)
-        out += "family = " + quote(w.family) + "\n";
-      out += std::string("full = ") + (w.corpus.full ? "true" : "false") +
-             "\n";
-      out += "samples-random = " + std::to_string(w.corpus.samples_random) +
-             "\n";
-      out += "samples-kernel = " + std::to_string(w.corpus.samples_kernel) +
-             "\n";
-      out += "seed = " + std::to_string(w.corpus.seed) + "\n";
-      if (w.cap_per_family > 0)
-        out += "cap-per-family = " + std::to_string(w.cap_per_family) + "\n";
-      break;
-    case WorkloadSpec::Source::Generate:
-      out += "source = \"generate\"\n";
-      out += "generator = " + quote(w.generator) + "\n";
-      out += "count = " + std::to_string(w.count) + "\n";
-      if (w.generator == "fft") {
-        out += "fft-k = " + std::to_string(w.fft_k) + "\n";
-      } else if (w.generator != "strassen") {
-        out += "tasks = " + std::to_string(w.dag.num_tasks) + "\n";
-        out += "width = " + num(w.dag.width) + "\n";
-        out += "density = " + num(w.dag.density) + "\n";
-        out += "regularity = " + num(w.dag.regularity) + "\n";
-        if (w.generator == "irregular")
-          out += "jump = " + std::to_string(w.dag.jump) + "\n";
-      }
-      out += "generate-seed = " + std::to_string(w.generate_seed) + "\n";
-      break;
-    case WorkloadSpec::Source::File:
-      out += "source = \"file\"\n";
-      out += "path = " + quote(w.path) + "\n";
-      break;
-  }
-
-  const AlgorithmsSpec& a = spec.algorithms;
-  if (!a.preset.empty()) {
-    out += "\n[algorithms]\n";
-    out += "preset = " + quote(a.preset) + "\n";
-  } else {
-    for (const AlgoSpec& algo : a.algos) {
-      out += "\n[algorithm]\n";
-      out += "name = " + quote(algo.name) + "\n";
-      out += "kind = " + quote(scheduler_kind_name(algo.options.kind)) + "\n";
-      if (algo.options.kind == SchedulerKind::RatsDelta) {
-        out += "mindelta = " + num(algo.options.rats.mindelta) + "\n";
-        out += "maxdelta = " + num(algo.options.rats.maxdelta) + "\n";
-      }
-      if (algo.options.kind == SchedulerKind::RatsTimeCost) {
-        out += "minrho = " + num(algo.options.rats.minrho) + "\n";
-        out += std::string("packing = ") +
-               (algo.options.rats.packing ? "true" : "false") + "\n";
-      }
-      if (!algo.options.secondary_sort) out += "secondary-sort = false\n";
-    }
-  }
-
-  // An empty timeline emits nothing: a spec with a bare [events]
-  // section stays byte-identical to one without it, so healthy specs
-  // (and the trace headers derived from them) never change.
-  const EventsSpec& ev = spec.events;
-  if (!ev.empty()) {
-    out += "\n[events]\n";
-    out += "on-fail = " + quote(to_string(ev.timeline.on_fail)) + "\n";
-    for (const PlatformEvent& e : ev.timeline.events) {
-      out += "\n[event]\n";
-      out += "at = " + num(e.at) + "\n";
-      out += "kind = " + quote(to_string(e.kind)) + "\n";
-      if (e.node >= 0) out += "node = " + std::to_string(e.node) + "\n";
-      if (e.cabinet >= 0)
-        out += "cabinet = " + std::to_string(e.cabinet) + "\n";
-      if (e.kind == PlatformEventKind::LinkCapacity ||
-          e.kind == PlatformEventKind::NodeSlowdown)
-        out += "factor = " + num(e.factor) + "\n";
-    }
-  }
-
-  const SweepSpec& sw = spec.sweep;
-  if (!sw.empty()) {
-    out += "\n[sweep]\n";
-    if (spec.kind == "sweep") out += "base = " + quote(sw.base) + "\n";
-    if (!sw.mindeltas.empty())
-      out += "mindelta = " + num_list(sw.mindeltas) + "\n";
-    if (!sw.maxdeltas.empty())
-      out += "maxdelta = " + num_list(sw.maxdeltas) + "\n";
-    if (!sw.minrhos.empty()) out += "minrho = " + num_list(sw.minrhos) + "\n";
-    if (!sw.packings.empty()) {
-      out += "packing = [";
-      for (std::size_t i = 0; i < sw.packings.size(); ++i)
-        out += std::string(i ? ", " : "") + (sw.packings[i] ? "true" : "false");
-      out += "]\n";
-    }
-    if (!sw.event_factors.empty())
-      out += "event-factor = " + num_list(sw.event_factors) + "\n";
-    if (!sw.event_ats.empty())
-      out += "event-at = " + num_list(sw.event_ats) + "\n";
-  }
-
-  out += "\n[output]\n";
-  out += std::string("csv = ") + (spec.output.csv ? "true" : "false") + "\n";
-  if (spec.output.gantt) out += "gantt = true\n";
-  if (!spec.output.report_csv.empty())
-    out += "report-csv = " + quote(spec.output.report_csv) + "\n";
-  if (!spec.output.report_json.empty())
-    out += "report-json = " + quote(spec.output.report_json) + "\n";
-  if (!spec.output.trace.empty())
-    out += "trace = " + quote(spec.output.trace) + "\n";
-  if (spec.output.trace_gzip) out += "trace-gzip = true\n";
-  return out;
+  sweep_keys(e, spec);
+  output_keys(e, spec);
+  return std::move(e.out);
 }
 
 }  // namespace rats::scenario

@@ -1075,50 +1075,53 @@ void run_ablation_contention(const ScenarioSpec& spec, ReportModel& model,
 
 // ---- registry ----------------------------------------------------------
 
-/// What a kind reads of [algorithms]/[algorithm]: an explicit list and
-/// every preset (kList), only the tuned preset, which it always runs
-/// (kTuned), or nothing, since it runs its own points (kNone).
-enum class AlgoUse { kList, kTuned, kNone };
+constexpr unsigned bit(Input input) {
+  return 1u << static_cast<unsigned>(input);
+}
+
+// What the kinds read of the optional inputs (registry.hpp).  Kinds
+// that never simulate, or tune (where a degraded optimum means
+// nothing), read no [events] timeline; kinds that run their own points
+// read no [algorithm] list; table4 tunes over the paper's corpus.
+constexpr unsigned kOwnPoints =
+    bit(Input::kEvents) | bit(Input::kOtherSources);
+constexpr unsigned kTunedOnly = kOwnPoints | bit(Input::kTunedPreset);
+constexpr unsigned kAnyAlgorithms = kTunedOnly | bit(Input::kAlgorithmList);
+constexpr unsigned kSweepKeys =
+    bit(Input::kMindelta) | bit(Input::kMaxdelta) | bit(Input::kMinrho) |
+    bit(Input::kPacking) | bit(Input::kBase) | bit(Input::kEventFactor) |
+    bit(Input::kEventAt);
 
 struct KindEntry {
   const char* name;
   void (*fn)(const ScenarioSpec&, ReportModel&, RunSession*);
   bool traceable;
-  /// Whether the kind feeds a spec's [events] timeline into its runs.
-  /// Kinds that never simulate (or tune, where a degraded optimum is
-  /// meaningless) reject specs carrying one instead of silently
-  /// reporting healthy numbers for a degraded scenario.
-  bool consumes_events;
-  /// The [sweep] keys the kind reads ("*": every key).  A spec giving
-  /// any other key is rejected before it runs (see unread_sweep_key).
-  const char* sweep_keys;
-  /// What the kind reads of [algorithms]/[algorithm] (see
-  /// unread_algorithms).
-  AlgoUse algorithms;
+  /// The optional inputs the kind reads, one bit each (see unread).
+  unsigned reads;
 };
 
 constexpr KindEntry kKinds[] = {
-    {"fig2", run_figure<kFig2>, true, true, "", AlgoUse::kList},
-    {"fig3", run_figure<kFig3>, true, true, "", AlgoUse::kList},
-    {"fig4", run_fig4, true, true, "mindelta, maxdelta", AlgoUse::kNone},
-    {"fig5", run_fig5, true, true, "minrho", AlgoUse::kNone},
-    {"fig6", run_figure<kFig6>, true, true, "", AlgoUse::kList},
-    {"fig7", run_figure<kFig7>, true, true, "", AlgoUse::kList},
-    {"table1", run_table1, false, false, "", AlgoUse::kNone},
-    {"table2", run_table2, false, false, "", AlgoUse::kNone},
-    {"table3", run_table3, false, false, "", AlgoUse::kNone},
-    {"table4", run_table4, false, false, "", AlgoUse::kNone},
-    {"table5", run_table5, true, true, "", AlgoUse::kTuned},
-    {"table6", run_table6, true, true, "", AlgoUse::kTuned},
-    {"experiment", run_experiment_kind, true, true, "", AlgoUse::kList},
-    {"single", run_single, true, true, "", AlgoUse::kList},
-    {"sweep", run_sweep, true, true, "*", AlgoUse::kNone},
-    {"robustness", run_robustness, true, true, "", AlgoUse::kTuned},
-    {"ablation_allocation", run_ablation_allocation, true, true, "",
-     AlgoUse::kList},
-    {"ablation_sort", run_ablation_sort, true, true, "", AlgoUse::kList},
-    {"ablation_contention", run_ablation_contention, false, false, "",
-     AlgoUse::kList},
+    {"fig2", run_figure<kFig2>, true, kAnyAlgorithms},
+    {"fig3", run_figure<kFig3>, true, kAnyAlgorithms},
+    {"fig4", run_fig4, true,
+     kOwnPoints | bit(Input::kMindelta) | bit(Input::kMaxdelta)},
+    {"fig5", run_fig5, true, kOwnPoints | bit(Input::kMinrho)},
+    {"fig6", run_figure<kFig6>, true, kAnyAlgorithms},
+    {"fig7", run_figure<kFig7>, true, kAnyAlgorithms},
+    {"table1", run_table1, false, bit(Input::kOtherSources)},
+    {"table2", run_table2, false, bit(Input::kOtherSources)},
+    {"table3", run_table3, false, bit(Input::kOtherSources)},
+    {"table4", run_table4, false, 0},
+    {"table5", run_table5, true, kTunedOnly},
+    {"table6", run_table6, true, kTunedOnly},
+    {"experiment", run_experiment_kind, true, kAnyAlgorithms},
+    {"single", run_single, true, kAnyAlgorithms},
+    {"sweep", run_sweep, true, kOwnPoints | kSweepKeys},
+    {"robustness", run_robustness, true, kTunedOnly},
+    {"ablation_allocation", run_ablation_allocation, true, kAnyAlgorithms},
+    {"ablation_sort", run_ablation_sort, true, kAnyAlgorithms},
+    {"ablation_contention", run_ablation_contention, false,
+     kAnyAlgorithms & ~bit(Input::kEvents)},
 };
 
 const KindEntry* find_kind(const std::string& kind) {
@@ -1230,12 +1233,20 @@ std::string canonical_spec_text(const ScenarioSpec& spec) {
 
 ReportModel build_with(const KindEntry& entry, const ScenarioSpec& spec,
                        RunSession* session) {
-  RATS_REQUIRE(spec.events.empty() || entry.consumes_events,
-               "scenario kind '" + spec.kind +
-                   "' does not consume an [events] timeline");
-  for (const std::string& key : spec.sweep.keys()) {
-    const std::string why = unread_sweep_key(spec.kind, key);
-    RATS_REQUIRE(why.empty(), why);
+  // A built spec has no lines to point at; a parsed one passed this
+  // check at its lines already.  Indexed by Input:
+  const SweepSpec& sw = spec.sweep;
+  const bool given[] = {
+      !spec.events.empty(), !spec.algorithms.algos.empty(),
+      spec.algorithms.tuned(),
+      spec.workload.source != WorkloadSpec::Source::Corpus,
+      !sw.mindeltas.empty(), !sw.maxdeltas.empty(), !sw.minrhos.empty(),
+      !sw.packings.empty(), sw.base != "delta", !sw.event_factors.empty(),
+      !sw.event_ats.empty()};
+  for (unsigned i = 0; i < std::size(given); ++i) {
+    const std::string why =
+        given[i] ? unread(spec.kind, static_cast<Input>(i)) : "";
+    if (!why.empty()) throw Error(why);
   }
   ReportModel model;
   model.name = spec.name;
@@ -1293,33 +1304,32 @@ bool kind_supports_trace(const std::string& kind) {
   return entry != nullptr && entry->traceable;
 }
 
-std::string unread_sweep_key(const std::string& kind, const std::string& key) {
+std::string unread(const std::string& kind, Input input) {
   const KindEntry* entry = find_kind(kind);
-  if (entry == nullptr) return "";  // the unknown kind is the error
-  const std::string reads = entry->sweep_keys;
-  if (reads == "*" ||
-      (", " + reads + ", ").find(", " + key + ", ") != std::string::npos)
-    return "";
-  return "kind \"" + kind + "\" does not read [sweep] key '" + key + "' (" +
-         (reads.empty() ? "it reads none" : "it reads " + reads) + ")";
-}
-
-std::string unread_algorithms(const std::string& kind,
-                              const std::string& preset) {
-  const KindEntry* entry = find_kind(kind);
-  // The default preset is accepted everywhere: canonical emission
-  // writes it for every spec.
-  if (entry == nullptr || preset == "naive" ||
-      entry->algorithms == AlgoUse::kList ||
-      (entry->algorithms == AlgoUse::kTuned && preset == "tuned"))
-    return "";
-  const std::string what = preset.empty()
-                               ? std::string("[algorithm] sections")
-                               : "preset \"" + preset + "\"";
-  return "kind \"" + kind + "\" does not read " + what +
-         (entry->algorithms == AlgoUse::kTuned
-              ? " (it always runs the tuned preset)"
-              : " (it runs its own points)");
+  if (entry == nullptr || (entry->reads & bit(input)) != 0) return "";
+  // What each input is, in Input order: the [sweep] keys by name.
+  static constexpr const char* kWhat[] = {
+      "an [events] timeline", "[algorithm] sections", "preset \"tuned\"",
+      "a [workload] source other than \"corpus\"", "mindelta", "maxdelta",
+      "minrho", "packing", "base", "event-factor", "event-at"};
+  const std::string head = "kind \"" + kind + "\" does not read ";
+  const char* what = kWhat[static_cast<unsigned>(input)];
+  if (input < Input::kMindelta) {
+    const char* why = "it runs its own points";
+    if (input == Input::kEvents) why = "it runs without platform events";
+    if (input == Input::kOtherSources) why = "it tunes over the paper's corpus";
+    if (input == Input::kAlgorithmList &&
+        (entry->reads & bit(Input::kTunedPreset)) != 0)
+      why = "it always runs the tuned preset";
+    return head + what + " (" + why + ")";
+  }
+  std::string reads;
+  for (auto k = static_cast<unsigned>(Input::kMindelta); k < std::size(kWhat);
+       ++k)
+    if ((entry->reads & (1u << k)) != 0)
+      reads += (reads.empty() ? "" : ", ") + std::string(kWhat[k]);
+  return head + "[sweep] key '" + what + "' (it reads " +
+         (reads.empty() ? "none" : reads) + ")";
 }
 
 report::ReportModel build_report(const ScenarioSpec& spec,

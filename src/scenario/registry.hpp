@@ -70,15 +70,22 @@ std::vector<std::string> kinds();
 /// True when `kind` exists and supports trace capture.
 bool kind_supports_trace(const std::string& kind);
 
-/// Empty when `kind` reads the [sweep] key `key` (or is unknown), else
-/// the error naming the keys it does read.
-std::string unread_sweep_key(const std::string& kind, const std::string& key);
+/// The optional inputs of a spec that only some kinds read; a spec
+/// giving one that its kind does not read is rejected.
+enum class Input {
+  kEvents,         ///< an [events] timeline
+  kAlgorithmList,  ///< [algorithm] sections
+  kTunedPreset,    ///< [algorithms] preset = "tuned"
+  kOtherSources,   ///< a [workload] source other than "corpus"
+  // The [sweep] keys, in the order errors list them.
+  kMindelta, kMaxdelta, kMinrho, kPacking, kBase, kEventFactor, kEventAt,
+};
 
-/// Empty when `kind` reads the [algorithms] preset `preset` ("" for an
-/// explicit [algorithm] list), or is unknown, else the error.  The
-/// default preset "naive" is accepted for every kind.
-std::string unread_algorithms(const std::string& kind,
-                              const std::string& preset);
+/// Empty when `kind` reads `input` (as does an unknown kind: its name
+/// is the error), else the error saying what the kind reads instead.
+/// The parser reports it at the line of the key or section giving the
+/// input; build_report reports it for built specs.
+std::string unread(const std::string& kind, Input input);
 
 /// Executes the scenario's run matrix once and returns the structured
 /// report.  `session`, when given, observes every (entry, algorithm)

@@ -152,18 +152,6 @@ std::vector<std::string> AlgorithmsSpec::names() const {
   return names;
 }
 
-std::vector<std::string> SweepSpec::keys() const {
-  std::vector<std::string> keys;
-  if (base != "delta") keys.emplace_back("base");
-  if (!mindeltas.empty()) keys.emplace_back("mindelta");
-  if (!maxdeltas.empty()) keys.emplace_back("maxdelta");
-  if (!minrhos.empty()) keys.emplace_back("minrho");
-  if (!packings.empty()) keys.emplace_back("packing");
-  if (!event_factors.empty()) keys.emplace_back("event-factor");
-  if (!event_ats.empty()) keys.emplace_back("event-at");
-  return keys;
-}
-
 PlatformTimeline EventsSpec::resolve(const Cluster& cluster,
                                      const std::string& context) const {
   PlatformTimeline resolved = timeline;

@@ -116,8 +116,6 @@ struct SweepSpec {
   bool sweeps_events() const {
     return !event_factors.empty() || !event_ats.empty();
   }
-  /// The keys this section gives ("base" when it is not "delta").
-  std::vector<std::string> keys() const;
 };
 
 /// Events section: the fault-injection timeline ([events] policy plus

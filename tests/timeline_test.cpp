@@ -310,9 +310,17 @@ TEST(TimelineScenario, RobustnessHealthyHalfMatchesTable6) {
 }
 
 TEST(TimelineScenario, StaticKindsRejectEvents) {
-  const scenario::ScenarioSpec spec = scenario::parse_scenario_string(
-      "[scenario]\nkind = \"table1\"\n"
-      "[events]\n[event]\nat = 1\nkind = \"node-fail\"\nnode = 0\n");
+  // The parser rejects the [event] at its line, and the registry a
+  // built spec carrying one.
+  EXPECT_THROW(scenario::parse_scenario_string(
+                   "[scenario]\nkind = \"table1\"\n"
+                   "[events]\n[event]\nat = 1\nkind = \"node-fail\"\n"
+                   "node = 0\n"),
+               Error);
+  scenario::ScenarioSpec spec =
+      scenario::parse_scenario_string("[scenario]\nkind = \"table1\"\n");
+  spec.events.timeline.events.push_back(
+      PlatformEvent{1.0, PlatformEventKind::NodeFail, 0});
   EXPECT_THROW(scenario::build_report(spec), Error);
 }
 
